@@ -12,7 +12,12 @@ hoisting and fused batched inference) — and records:
   between a run producing the valid+test splits and a run producing none
   (training always executes), which is the stage the fused batch targets;
 * a hard **parity check**: every prediction array must be bit-for-bit
-  identical between the two paths (the whole design contract).
+  identical between the two paths (the whole design contract);
+* a hard **stress parity check** where range-proven sanitize elision is
+  most likely to go wrong: features scaled near the clip bound and features
+  with NaN/±inf cells, evaluated through ``FleetEngine.run`` (the path that
+  binds tapes with the task set's data bound) per-program and stacked, day
+  loop and time-batched, against the interpreter.
 
 Results are written to ``benchmarks/results/BENCH_compile.json`` (the
 source of truth, with a copy at the repository root — see
@@ -31,6 +36,7 @@ a fast compile-parity gate (non-zero exit on any parity violation).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -42,9 +48,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
-from common import build_programs, reports_identical, write_bench_json
+import numpy as np
+
+from common import (
+    build_generation, build_programs, reports_identical, write_bench_json,
+)
 from repro.compile import compile_program
 from repro.core import AlphaEvaluator, Dimensions
+from repro.engine import FleetEngine
 from repro.experiments.configs import SMOKE, make_taskset
 
 #: Shared evaluator settings so both paths time identical work.
@@ -62,6 +73,50 @@ def time_runs(evaluator, programs, splits, repeats: int) -> float:
             evaluator.run(program, splits=splits)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def stress_tasksets(taskset) -> dict:
+    """Task sets near the clip bound and with non-finite feature cells."""
+    features = taskset.features.copy()
+    cells = np.random.default_rng(0).integers(0, features.size, 300)
+    features.flat[cells[0::3]] = np.nan
+    features.flat[cells[1::3]] = np.inf
+    features.flat[cells[2::3]] = -np.inf
+    return {
+        "near_clip": dataclasses.replace(taskset,
+                                         features=taskset.features * 1e5),
+        "non_finite": dataclasses.replace(taskset, features=features),
+    }
+
+
+def stress_parity(taskset, programs) -> dict[str, bool]:
+    """Interpreter vs every fleet path, bitwise, on each stress task set."""
+    verdicts = {}
+    for name, variant in stress_tasksets(taskset).items():
+        interpreter = AlphaEvaluator(
+            variant, seed=EVALUATOR_SEED, compiled=False, **EVALUATOR_KWARGS
+        )
+        expected = [interpreter.run(program, splits=SPLITS)
+                    for program in programs]
+        identical = True
+        for stacked in (False, True):
+            for time_batched in (False, True):
+                fleet = FleetEngine(
+                    AlphaEvaluator(variant, seed=EVALUATOR_SEED,
+                                   **EVALUATOR_KWARGS),
+                    dedup=False, stacked=stacked,
+                )
+                for index, program in enumerate(programs):
+                    fleet.add(program, name=f"p{index}")
+                runs = fleet.run(splits=SPLITS, time_batched=time_batched)
+                identical &= all(
+                    runs[f"p{index}"][split].tobytes()
+                    == panels[split].tobytes()
+                    for index, panels in enumerate(expected)
+                    for split in SPLITS
+                )
+        verdicts[name] = bool(identical)
+    return verdicts
 
 
 def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
@@ -89,6 +144,7 @@ def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
         parity &= reports_identical(
             interpreter.evaluate(program).report, compiled.evaluate(program).report
         )
+    stress = stress_parity(taskset, build_generation(dims, num_programs))
 
     # ----- timing ----------------------------------------------------------
     interp_full = time_runs(interpreter, programs, SPLITS, repeats)
@@ -125,6 +181,7 @@ def run_benchmark(num_programs: int = 32, repeats: int = 3) -> dict:
         "full_speedup": round(interp_full / compiled_full, 3),
         "inference_speedup": round(interp_inference / compiled_inference, 3),
         "bitwise_identical_to_interpreter": parity,
+        "stress_bitwise_identical_to_interpreter": stress,
     }
     return payload
 
@@ -153,10 +210,18 @@ def main(argv: list[str] | None = None) -> int:
         print("ERROR: compiled execution differs from the interpreter",
               file=sys.stderr)
         return 1
+    failed = [name for name, ok in
+              payload["stress_bitwise_identical_to_interpreter"].items()
+              if not ok]
+    if failed:
+        print("ERROR: fleet execution differs from the interpreter on the "
+              f"stress task sets {failed}", file=sys.stderr)
+        return 1
     if args.smoke:
         print("\ncompile-parity smoke check passed "
               f"({payload['num_programs']} programs, "
-              f"{payload['fused_eligible_programs']} fused-eligible)")
+              f"{payload['fused_eligible_programs']} fused-eligible; "
+              "near-clip and non-finite stress task sets)")
     return 0
 
 

@@ -228,8 +228,9 @@ def build_ops_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro ops",
         description="Print the alpha-language operator registry: name, "
-                    "kind, arity, operand types, constant parameters and "
-                    "the components each operator may appear in.",
+                    "kind, arity, operand types, declared output range, "
+                    "constant parameters and the components each operator "
+                    "may appear in.",
     )
     parser.add_argument(
         "--kind",
@@ -255,7 +256,8 @@ def render_ops_table(kind: str | None = None,
         kind=OpKind(kind) if kind is not None else None,
         component=component,
     )
-    header = ("name", "kind", "arity", "signature", "params", "components")
+    header = ("name", "kind", "arity", "signature", "range", "params",
+              "components")
     rows = [header]
     for spec in sorted(specs, key=lambda spec: (spec.kind.value, spec.name)):
         inputs = ", ".join(t.value for t in spec.input_types) or "-"
@@ -264,6 +266,7 @@ def render_ops_table(kind: str | None = None,
             spec.kind.value,
             str(spec.arity),
             f"({inputs}) -> {spec.output_type.value}",
+            spec.range_rule.label,
             ", ".join(spec.param_names) or "-",
             ", ".join(
                 name for name in ("setup", "predict", "update")

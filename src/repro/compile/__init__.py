@@ -6,7 +6,8 @@ IR (:mod:`.ir`), optimised by a pass pipeline (:mod:`.passes` — constant
 folding, commutative canonicalisation, common-subexpression elimination and
 a dead-code elimination that reuses the backward-liveness pruning), and
 executed by a flat-tape executor (:mod:`.executor`) with pre-resolved
-dispatch, preallocated slots and a fused batched inference stage.
+dispatch, preallocated slots, range-proven sanitize elision (:mod:`.ranges`)
+and a fused batched inference stage.
 
 Entry points:
 
@@ -28,6 +29,7 @@ from .compiler import (
 from .executor import CompiledAlpha, TAPE_STATE_VERSION, TapeState, tape_key_for
 from .ir import IRComponent, IRInstruction, IRProgram, IRValue, lower_program
 from .lookback import LookbackInfo, analyze_lookback
+from .ranges import RangeInfo, analyze_ranges, data_bound
 from .stacked import StackedAlpha, stack_signature
 from .passes import (
     DataflowInfo,
@@ -49,15 +51,18 @@ __all__ = [
     "IRValue",
     "LookbackInfo",
     "PassStats",
+    "RangeInfo",
     "StackedAlpha",
     "TAPE_STATE_VERSION",
     "TapeState",
     "analyze_dataflow",
     "analyze_lookback",
+    "analyze_ranges",
     "canonical_ir",
     "canonical_key",
     "canonicalize_commutative",
     "compile_program",
+    "data_bound",
     "describe_compilation",
     "eliminate_common_subexpressions",
     "eliminate_dead_code",

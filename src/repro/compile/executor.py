@@ -5,8 +5,13 @@ problem shape and executes it without any of the interpreter's per-operation
 bookkeeping:
 
 * **pre-resolved dispatch** — every instruction becomes one tape entry
-  ``(func, input_arrays, output_array, params)`` with the
+  ``(func, input_arrays, output_array, params, sanitize mode)`` with the
   :class:`~repro.core.ops.OpSpec` function looked up once at bind time;
+* **range-proven sanitize elision** — the static range analysis
+  (:mod:`.ranges`) tags each entry ``exact`` / ``clip`` / ``full``, and
+  the result is written into its preallocated buffer with only the
+  sanitize steps that can change a bit
+  (:func:`~repro.core.ops.sanitize_into`);
 * **preallocated memory slots** — each SSA value owns one preallocated
   buffer and each live operand one state array, so the per-day loop performs
   no allocation, address checking or dict construction;
@@ -36,11 +41,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.memory import INPUT_MATRIX, LABEL, Operand, OperandType, PREDICTION
-from ..core.ops import ExecutionContext, get_op, sanitize
+from ..core.ops import CLIP_VALUE, ExecutionContext, Interval, get_op, sanitize_into
 from ..errors import ExecutionError
 from .compiler import CompiledProgram
+from .ranges import analyze_ranges
 
-__all__ = ["CompiledAlpha", "TapeState", "TAPE_STATE_VERSION", "tape_key_for"]
+__all__ = [
+    "CompiledAlpha",
+    "TapeState",
+    "TAPE_STATE_VERSION",
+    "check_resumed_operands",
+    "tape_key_for",
+]
 
 #: Bumped whenever the suspended-state layout changes incompatibly.
 TAPE_STATE_VERSION = 1
@@ -106,6 +118,34 @@ _BATCH_OVERRIDES = {
 }
 
 
+def check_resumed_operands(operands: dict[str, np.ndarray],
+                           input_range: Interval | None) -> None:
+    """Refuse snapshot operand state the range analysis does not cover.
+
+    :mod:`.ranges` counts every operand other than ``m0``/``s0``/the
+    prediction as finite and within ``±CLIP_VALUE``, and ``m0``/``s0`` as
+    within ``input_range`` when the binding has one; a resumed state that
+    breaks either would make an elided sanitize observable.
+    """
+    for name, array in operands.items():
+        if name == PREDICTION.name:
+            continue
+        if name in (INPUT_MATRIX.name, LABEL.name):
+            if input_range is None:
+                continue
+            lo, hi = input_range
+        else:
+            lo, hi = -CLIP_VALUE, CLIP_VALUE
+        array = np.asarray(array)
+        # NaN fails both comparisons, so it is refused too.
+        if array.size and not (array.min() >= lo and array.max() <= hi):
+            raise ExecutionError(
+                f"tape state operand {name} holds values outside "
+                f"[{lo:g}, {hi:g}] (or non-finite ones); no tape can have "
+                "produced it"
+            )
+
+
 def _batched_func(name: str):
     """The day-batched kernel for operator ``name`` (``None`` → per-day loop)."""
     if name in _BATCH_SAFE:
@@ -151,6 +191,8 @@ class _TapeEntry:
     output: np.ndarray
     output_id: int
     params: dict
+    #: Proven sanitize mode (:mod:`.ranges`): ``exact`` / ``clip`` / ``full``.
+    sanitize: str
 
 
 class CompiledAlpha:
@@ -164,11 +206,18 @@ class CompiledAlpha:
         The evaluation context (task count, dimensions, relation indices and
         base seed) the tape executes under — the same object the interpreter
         would hand to every operator.
+    input_range:
+        A bound on every value ``set_input``/``set_label`` will ever load
+        (:func:`~repro.compile.ranges.data_bound`), which lets the range
+        analysis elide more sanitizes; ``None`` (the default, and the only
+        sound choice for online serving) assumes nothing about ``m0``/``s0``.
     """
 
-    def __init__(self, compiled: CompiledProgram, ctx: ExecutionContext) -> None:
+    def __init__(self, compiled: CompiledProgram, ctx: ExecutionContext,
+                 input_range: Interval | None = None) -> None:
         self.compiled = compiled
         self.ctx = ctx
+        self.input_range = input_range
         shapes = {
             OperandType.SCALAR: (ctx.num_tasks,),
             OperandType.VECTOR: (ctx.num_tasks, ctx.window),
@@ -196,11 +245,13 @@ class CompiledAlpha:
         self._static_tape: list[_TapeEntry] = []
         self._tapes: dict[str, list[_TapeEntry]] = {}
         self._copies: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        ranges = analyze_ranges([ir], ctx, input_range)
+        ranges.record()
 
         for name, component in ir.components.items():
             static_ids: set[int] = set()
             tape: list[_TapeEntry] = []
-            for instr in component.instructions:
+            for instr, mode in zip(component.instructions, ranges.modes[name]):
                 arrays = []
                 for vid in instr.inputs:
                     value = ir.values[vid]
@@ -218,6 +269,7 @@ class CompiledAlpha:
                     output=output,
                     output_id=instr.result,
                     params=instr.param_dict,
+                    sanitize=mode,
                 )
                 # Setup already runs exactly once; hoisting only pays off for
                 # the components inside the per-day loops.
@@ -281,7 +333,8 @@ class CompiledAlpha:
     def _run_tape(self, entries: list[_TapeEntry]) -> None:
         ctx = self.ctx
         for entry in entries:
-            entry.output[...] = sanitize(entry.func(ctx, entry.inputs, entry.params))
+            sanitize_into(entry.output, entry.func(ctx, entry.inputs, entry.params),
+                          entry.sanitize)
 
     @staticmethod
     def _write_back(copies: list[tuple[np.ndarray, np.ndarray]]) -> None:
@@ -341,7 +394,9 @@ class CompiledAlpha:
         overwrites the operand state arrays from the snapshot; the next
         ``run_predict`` / ``run_update`` continues exactly where the
         suspended executor stopped.  Raises :class:`ExecutionError` when the
-        snapshot was taken from a different program, binding shape or seed.
+        snapshot was taken from a different program, binding shape or seed,
+        or holds operand values no tape can produce
+        (:func:`check_resumed_operands`).
         """
         if state.version != TAPE_STATE_VERSION:
             raise ExecutionError(
@@ -372,6 +427,7 @@ class CompiledAlpha:
                 f"(missing {sorted(expected - snapshot)}, "
                 f"unexpected {sorted(snapshot - expected)})"
             )
+        check_resumed_operands(state.operands, self.input_range)
         self._run_tape(self._static_tape)
         for operand, array in self._state.items():
             array[...] = state.operands[operand.name]
@@ -401,7 +457,9 @@ class CompiledAlpha:
             if not any(vid in batched for vid in entry.input_ids):
                 # Depends only on static memory: one day's worth of work
                 # covers every day.
-                entry.output[...] = sanitize(entry.func(ctx, entry.inputs, entry.params))
+                sanitize_into(entry.output,
+                              entry.func(ctx, entry.inputs, entry.params),
+                              entry.sanitize)
                 continue
             inputs = tuple(
                 batched.get(vid, array)
@@ -410,7 +468,8 @@ class CompiledAlpha:
             output = np.empty((num_days,) + entry.output.shape)
             batched_func = _batched_func(entry.op)
             if batched_func is not None:
-                output[...] = sanitize(batched_func(ctx, inputs, entry.params))
+                sanitize_into(output, batched_func(ctx, inputs, entry.params),
+                              entry.sanitize)
             else:
                 day_flags = tuple(vid in batched for vid in entry.input_ids)
                 for day in range(num_days):
@@ -418,7 +477,9 @@ class CompiledAlpha:
                         array[day] if is_batched else array
                         for array, is_batched in zip(inputs, day_flags)
                     )
-                    output[day] = sanitize(entry.func(ctx, day_inputs, entry.params))
+                    sanitize_into(output[day],
+                                  entry.func(ctx, day_inputs, entry.params),
+                                  entry.sanitize)
             batched[entry.output_id] = output
 
         if self._prediction_id is not None and self._prediction_id in batched:

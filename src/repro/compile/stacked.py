@@ -22,6 +22,11 @@ whose state and buffers carry a leading program axis:
   first and sanitised in one elementwise pass), while the batched majority
   still collapses P-fold dispatch into one call.
 
+Every entry sanitizes in place with the mode the range analysis
+(:mod:`.ranges`) proves for the hull of the group's parameters, so an
+``exact`` entry skips the sanitize outright and a ``clip`` entry skips the
+NaN scan.
+
 Bitwise parity with per-program execution is the same hard contract the
 compiled executor honours against the interpreter.  On top of the fused day
 path's elementwise registry, stacking may also batch the trailing-axis
@@ -51,11 +56,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.memory import INPUT_MATRIX, LABEL, Operand, OperandType, PREDICTION
-from ..core.ops import _EPS, CLIP_VALUE, get_op, sanitize
+from ..core.ops import _EPS, CLIP_VALUE, get_op, sanitize_into
 from ..core.program import COMPONENTS
 from ..errors import ExecutionError
 from .compiler import CompiledProgram
-from .executor import TAPE_STATE_VERSION, TapeState, _batched_func, tape_key_for
+from .executor import (
+    TAPE_STATE_VERSION, TapeState, _batched_func, check_resumed_operands,
+    tape_key_for,
+)
+from .ranges import analyze_ranges
 
 __all__ = ["StackedAlpha", "stack_signature"]
 
@@ -193,18 +202,6 @@ def _stacked_func(name: str):
     return _STACK_OVERRIDES.get(name)
 
 
-def _sanitize_into(out: np.ndarray, values: np.ndarray) -> None:
-    """Write ``sanitize(values)`` into ``out`` without allocating.
-
-    Same three elementwise steps as :func:`repro.core.ops.sanitize` (clip
-    maps ``±inf`` to the bounds, the masked write zeroes NaN), fused into
-    the preallocated output buffer — on the large ``(P, ...)`` stacked
-    buffers the avoided copies are a measurable share of the day loop.
-    """
-    np.clip(values, -CLIP_VALUE, CLIP_VALUE, out=out)
-    np.copyto(out, 0.0, where=np.isnan(out))
-
-
 def _binary_out(ufunc):
     return lambda inputs, out: ufunc(inputs[0], inputs[1], out=out)
 
@@ -224,7 +221,7 @@ def _divide_out(inputs, out):
 
 #: Elementwise operators backed by a single ufunc: the stacked path calls
 #: them with ``out=`` so the result lands directly in the entry's
-#: preallocated ``(P, ...)`` buffer and is sanitised in place — skipping a
+#: preallocated ``(P, ...)`` buffer and is sanitized in place — skipping a
 #: temporary allocation plus one full copy pass per instruction, which on
 #: DRAM-sized matrix-group buffers is a large share of the day loop.  A
 #: ufunc computes each element identically with or without ``out=``, so the
@@ -296,21 +293,20 @@ class _StackedEntry:
     """
 
     __slots__ = (
-        "op", "mode", "func", "out_func", "nan_free", "spec_func", "gather",
+        "op", "mode", "func", "out_func", "sanitize", "spec_func", "gather",
         "inputs", "input_ids", "output", "output_id", "params0",
         "member_params", "calls", "pchunk",
     )
 
     def __init__(self, op, mode, func, spec_func, gather, inputs, input_ids,
-                 output, output_id, params0, member_params, calls):
+                 output, output_id, params0, member_params, calls, sanitize):
         self.op = op
         self.mode = mode
         self.func = func
         #: ``out=``-writing variant (elementwise ufuncs only, stacked mode).
         self.out_func = _OUT_KERNELS.get(op) if mode == "stacked" else None
-        #: Whether the post-clip NaN scan is provably a no-op (see
-        #: ``StackedAlpha._bind_entry``).
-        self.nan_free = False
+        #: Proven sanitize mode over the group (:mod:`.ranges`).
+        self.sanitize = sanitize
         self.spec_func = spec_func
         self.gather = gather
         self.inputs = inputs
@@ -363,6 +359,10 @@ class StackedAlpha:
         all sharing one :func:`stack_signature` (validated here).
     ctx:
         The shared evaluation context every member binds to.
+    input_range:
+        A bound on every value ``set_input``/``set_label`` will ever load,
+        as for :class:`~repro.compile.executor.CompiledAlpha`; ``None`` (the
+        default, and the only sound choice online) assumes nothing.
     program_chunk:
         Program-axis chunk size for the matrix-heavy stacked contractions
         (:data:`_PROGRAM_CHUNK_OPS`): ``None`` derives a cache-resident
@@ -373,7 +373,7 @@ class StackedAlpha:
         touches at once.
     """
 
-    def __init__(self, compiled_group, ctx,
+    def __init__(self, compiled_group, ctx, input_range=None,
                  program_chunk: int | None = None) -> None:
         compiled_group = list(compiled_group)
         if not compiled_group:
@@ -391,9 +391,7 @@ class StackedAlpha:
         self.num_programs = P = len(compiled_group)
         #: Batched NumPy kernel calls issued so far (telemetry counter feed).
         self.kernel_calls = 0
-        #: Set by :meth:`resume`: tape-restored state may hold raw captures
-        #: of the feature/label arrays, so ``nan_free`` skips are disabled.
-        self._force_nan_scan = False
+        self.input_range = input_range
         if program_chunk is None:
             # Auto: keep one chunk's matrix operands around the same
             # budget the fused path uses for its day chunks.
@@ -428,6 +426,10 @@ class StackedAlpha:
         self._static_tape: list[_StackedEntry] = []
         self._tapes: dict[str, list[_StackedEntry]] = {}
         self._copies: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        ranges = analyze_ranges(
+            [member.ir for member in compiled_group], ctx, input_range
+        )
+        ranges.record()
 
         for name, component in ir.components.items():
             static_ids: set[int] = set()
@@ -447,7 +449,8 @@ class StackedAlpha:
                     for member in compiled_group
                 )
                 entry = self._bind_entry(
-                    instr, tuple(arrays), output, member_params
+                    instr, tuple(arrays), output, member_params,
+                    ranges.modes[name][index],
                 )
                 is_static = name != "setup" and all(
                     vid in static_ids for vid in instr.inputs
@@ -495,30 +498,16 @@ class StackedAlpha:
         return cls([compile_program(program) for program in programs], ctx)
 
     # ------------------------------------------------------------------
-    def _bind_entry(self, instr, inputs, output, member_params):
+    def _bind_entry(self, instr, inputs, output, member_params, sanitize):
         params0 = member_params[0]
         same_params = all(p == params0 for p in member_params[1:])
         stacked_func = _stacked_func(instr.op)
         if same_params and stacked_func is not None:
-            entry = _StackedEntry(
+            return _StackedEntry(
                 instr.op, "stacked", stacked_func, instr.spec.func, None,
                 inputs, instr.inputs, output, instr.result, params0,
-                member_params, calls=1,
+                member_params, calls=1, sanitize=sanitize,
             )
-            if entry.out_func is not None:
-                # The _OUT_KERNELS ops are closed over finite sanitised
-                # inputs: sums/products/extrema of |x| <= CLIP_VALUE stay
-                # finite, and the guarded divide is bounded by
-                # CLIP_VALUE / _EPS.  Every input except the raw feature /
-                # label arrays is a post-sanitize buffer, so unless the
-                # entry reads those (or state was resumed from a tape —
-                # see :meth:`resume`), the post-clip NaN scan cannot fire
-                # and is skipped.
-                raw = (self._state[INPUT_MATRIX], self._state[LABEL])
-                entry.nan_free = not any(
-                    array is raw[0] or array is raw[1] for array in inputs
-                )
-            return entry
         gather = None if same_params else _make_gather(
             instr.op, member_params, self.ctx
         )
@@ -526,12 +515,12 @@ class StackedAlpha:
             return _StackedEntry(
                 instr.op, "gather", None, instr.spec.func, gather,
                 inputs, instr.inputs, output, instr.result, params0,
-                member_params, calls=1,
+                member_params, calls=1, sanitize=sanitize,
             )
         return _StackedEntry(
             instr.op, "loop", None, instr.spec.func, None,
             inputs, instr.inputs, output, instr.result, params0,
-            member_params, calls=self.num_programs,
+            member_params, calls=self.num_programs, sanitize=sanitize,
         )
 
     # ------------------------------------------------------------------
@@ -562,7 +551,6 @@ class StackedAlpha:
     # ------------------------------------------------------------------
     def _run_tape(self, entries) -> None:
         ctx = self.ctx
-        force_scan = self._force_nan_scan
         calls = 0
         for entry in entries:
             mode = entry.mode
@@ -571,15 +559,13 @@ class StackedAlpha:
                 if out_func is not None:
                     out = entry.output
                     out_func(entry.inputs, out)
-                    np.clip(out, -CLIP_VALUE, CLIP_VALUE, out=out)
-                    if force_scan or not entry.nan_free:
-                        np.copyto(out, 0.0, where=np.isnan(out))
+                    sanitize_into(out, out, entry.sanitize)
                 elif (entry.pchunk
                         and 0 < self.program_chunk < self.num_programs):
                     chunk = self.program_chunk
                     for lane0 in range(0, self.num_programs, chunk):
                         lanes = slice(lane0, lane0 + chunk)
-                        _sanitize_into(
+                        sanitize_into(
                             entry.output[lanes],
                             entry.func(
                                 ctx,
@@ -587,16 +573,19 @@ class StackedAlpha:
                                       for array in entry.inputs),
                                 entry.params0,
                             ),
+                            entry.sanitize,
                         )
                         calls += 1
                     calls -= entry.calls  # netted against the shared add
                 else:
-                    _sanitize_into(
+                    sanitize_into(
                         entry.output,
                         entry.func(ctx, entry.inputs, entry.params0),
+                        entry.sanitize,
                     )
             elif mode == "gather":
-                _sanitize_into(entry.output, entry.gather(entry.inputs[0]))
+                sanitize_into(entry.output, entry.gather(entry.inputs[0]),
+                              entry.sanitize)
             else:
                 output = entry.output
                 func = entry.spec_func
@@ -608,7 +597,7 @@ class StackedAlpha:
                 # sanitize is elementwise, so one pass over the stacked
                 # buffer equals P per-lane passes bit for bit — and costs
                 # one dispatch instead of P.
-                _sanitize_into(output, output)
+                sanitize_into(output, output, entry.sanitize)
             calls += entry.calls
         self.kernel_calls += calls
 
@@ -660,8 +649,10 @@ class StackedAlpha:
         """Restore one :class:`TapeState` per lane into this fresh group.
 
         Validates each snapshot against its lane (tape key, binding shape,
-        seed, operand set) before any lane is touched, re-runs the static
-        prologue, then writes every lane's operand state.
+        seed, operand set, operand values — see
+        :func:`~repro.compile.executor.check_resumed_operands`) before any
+        lane is touched, re-runs the static prologue, then writes every
+        lane's operand state.
         """
         states = list(states)
         if len(states) != self.num_programs:
@@ -701,15 +692,12 @@ class StackedAlpha:
                     f"(missing {sorted(expected - snapshot)}, "
                     f"unexpected {sorted(snapshot - expected)})"
                 )
+            check_resumed_operands(state.operands, self.input_range)
         self._run_tape(self._static_tape)
         for operand, array in self._state.items():
             name = operand.name
             for lane, state in enumerate(states):
                 array[lane] = state.operands[name]
-        # Restored operand state is whatever the tape holds — including raw
-        # feature/label captures — so the nan_free scan skip no longer
-        # applies to reads of carried state.
-        self._force_nan_scan = True
 
     # ------------------------------------------------------------------
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:
@@ -782,28 +770,26 @@ class StackedAlpha:
                 if entry.mode == "stacked":
                     if entry.out_func is not None:
                         entry.out_func(inputs, output)
-                        np.clip(output, -CLIP_VALUE, CLIP_VALUE, out=output)
-                        if self._force_nan_scan or not entry.nan_free:
-                            np.copyto(
-                                output, 0.0, where=np.isnan(output)
-                            )
+                        sanitize_into(output, output, entry.sanitize)
                         calls += 1
                     elif entry.pchunk and 0 < self.program_chunk < P:
                         chunk = self.program_chunk
                         for lane0 in range(0, P, chunk):
                             lanes = slice(lane0, lane0 + chunk)
-                            _sanitize_into(
+                            sanitize_into(
                                 output[lanes],
                                 entry.func(
                                     ctx,
                                     tuple(array[lanes] for array in inputs),
                                     entry.params0,
                                 ),
+                                entry.sanitize,
                             )
                             calls += 1
                     else:
-                        _sanitize_into(
-                            output, entry.func(ctx, inputs, entry.params0)
+                        sanitize_into(
+                            output, entry.func(ctx, inputs, entry.params0),
+                            entry.sanitize,
                         )
                         calls += 1
                 elif day_func is not None:
@@ -816,7 +802,7 @@ class StackedAlpha:
                             tuple(array[lane] for array in inputs),
                             params,
                         )
-                    _sanitize_into(output, output)
+                    sanitize_into(output, output, entry.sanitize)
                     calls += P
                 else:
                     day_flags = tuple(
@@ -832,7 +818,7 @@ class StackedAlpha:
                             output[lane, day] = entry.spec_func(
                                 ctx, day_inputs, params
                             )
-                    _sanitize_into(output, output)
+                    sanitize_into(output, output, entry.sanitize)
                     calls += P * C
                 batched[entry.output_id] = output
             out[day0:day0 + C] = batched[pred_vid].transpose(1, 0, 2)

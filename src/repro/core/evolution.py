@@ -507,13 +507,15 @@ class EvolutionController:
         with TELEMETRY.span("search.run"):
             result = self._run(initial_program)
         if TELEMETRY.enabled:
+            # One observation per search: a multi-search run keeps every
+            # search's figure instead of only the last one's.
             stats = result.cache_stats
             if stats.searched:
-                TELEMETRY.gauge("search.cache_hit_rate").set(
+                TELEMETRY.histogram("search.cache_hit_rate").observe(
                     stats.skipped / stats.searched
                 )
             if result.elapsed_seconds > 0:
-                TELEMETRY.gauge("search.candidates_per_second").set(
+                TELEMETRY.histogram("search.candidates_per_second").observe(
                     result.candidates_generated / result.elapsed_seconds
                 )
         return result

@@ -23,6 +23,7 @@ scalars ``(K,)``, vectors ``(K, w)``, matrices ``(K, f, w)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -37,16 +38,20 @@ __all__ = [
     "OpKind",
     "Dimensions",
     "ExecutionContext",
+    "Interval",
     "OpSpec",
     "OP_REGISTRY",
+    "RangeRule",
     "get_op",
     "list_ops",
     "sample_params",
     "sanitize",
+    "sanitize_into",
 ]
 
-#: Values are clipped to +/- this bound after every operation so that a badly
-#: behaved candidate alpha cannot overflow and poison the whole evaluation.
+#: Operator results are clipped to +/- this bound (and NaN zeroed) so that a
+#: badly behaved candidate alpha cannot overflow and poison the whole
+#: evaluation.
 CLIP_VALUE = 1e6
 
 
@@ -56,8 +61,11 @@ def sanitize(values: np.ndarray) -> np.ndarray:
     Bit-for-bit equal to ``clip(nan_to_num(values), ...)`` — ``clip`` already
     maps ``±inf`` to the bounds and propagates NaN, which the masked write
     then zeroes — but in one output allocation and three passes instead of
-    ``nan_to_num``'s copy plus three finiteness scans.  This runs after
-    *every* operator of every execution path, so its constant matters.
+    ``nan_to_num``'s copy plus three finiteness scans.  The interpreter
+    (:meth:`OpSpec.__call__`) sanitizes every operator result this way; the
+    tape executors write the same bits through :func:`sanitize_into`,
+    skipping whichever steps the range analysis of
+    :mod:`repro.compile.ranges` proves cannot change a bit.
     """
     out = np.clip(np.asarray(values), -CLIP_VALUE, CLIP_VALUE)
     if not isinstance(out, np.ndarray):
@@ -66,6 +74,42 @@ def sanitize(values: np.ndarray) -> np.ndarray:
     if out.dtype.kind == "f":
         np.copyto(out, 0.0, where=np.isnan(out))
     return out
+
+
+try:  # the ufunc behind np.clip, minus its ~3 µs of Python-level dispatch
+    from numpy._core.umath import clip as _clip
+except ImportError:  # pragma: no cover - numpy < 2
+    _clip = np.clip
+
+
+# 0-d float64 bounds take the ufunc's fast path; Python floats pay ~1 µs of
+# weak-scalar promotion per call.  The clipped values are the same.
+_CLIP_LO = np.array(-CLIP_VALUE)
+_CLIP_HI = np.array(CLIP_VALUE)
+
+
+def sanitize_into(out: np.ndarray, values: np.ndarray, mode: str = "full") -> None:
+    """Write ``sanitize(values)`` into the preallocated ``out``.
+
+    ``mode`` is the tape entry's proven sanitize mode
+    (:mod:`repro.compile.ranges`):
+
+    * ``"exact"`` — ``values`` is proven finite and within ``±CLIP_VALUE``,
+      so sanitizing is the identity: a plain copy (none when ``values`` *is*
+      ``out``);
+    * ``"clip"`` — ``values`` is proven NaN-free, so the clip alone
+      reproduces :func:`sanitize`;
+    * ``"full"`` — clip, then zero the NaNs.
+
+    Every mode writes exactly the bits :func:`sanitize` would return.
+    """
+    if mode == "exact":
+        if values is not out:
+            out[...] = values
+        return
+    _clip(values, _CLIP_LO, _CLIP_HI, out=out)
+    if mode == "full":
+        np.copyto(out, 0.0, where=np.isnan(out))
 
 
 class OpKind(str, Enum):
@@ -125,6 +169,34 @@ class ExecutionContext:
 
 OpFunc = Callable[[ExecutionContext, tuple[np.ndarray, ...], dict], np.ndarray]
 
+#: A proven value range ``(lo, hi)``: every element is finite and lies in
+#: ``[lo, hi]``; both bounds are finite floats.
+Interval = tuple[float, float]
+
+
+@dataclass(frozen=True)
+class RangeRule:
+    """An operator's declared output range, as a function of its inputs'.
+
+    ``rule(inputs, params, ctx)`` receives one :data:`Interval` per input
+    operand (each inside ``±CLIP_VALUE``), the operator's parameters and
+    the execution context (for the reduction lengths), and returns an
+    :data:`Interval` that provably holds the *raw* ``func`` output — with
+    floating-point rounding covered — or ``None`` when it has no proof.
+    For an operator with inputs, ``None`` still means "finite": every
+    registered operator maps finite inputs within ``±CLIP_VALUE`` to finite
+    outputs (a property test enforces it).  Only a nullary initialiser's
+    finiteness rests on its parameters, so its ``None`` means "may be
+    non-finite".  ``label`` is the human-readable form ``repro ops`` prints.
+    """
+
+    label: str
+    rule: Callable[[tuple[Interval, ...], dict, ExecutionContext], Interval | None]
+
+    def __call__(self, inputs: tuple[Interval, ...], params: dict,
+                 ctx: ExecutionContext) -> Interval | None:
+        return self.rule(inputs, params, ctx)
+
 
 @dataclass(frozen=True)
 class OpSpec:
@@ -135,6 +207,10 @@ class OpSpec:
     input_types: tuple[OperandType, ...]
     output_type: OperandType
     func: OpFunc
+    #: How far ``func``'s raw output can range given its inputs' ranges —
+    #: the static range analysis (:mod:`repro.compile.ranges`) uses it to
+    #: elide the post-op sanitize wherever it provably changes nothing.
+    range_rule: RangeRule
     param_names: tuple[str, ...] = ()
     components: frozenset = frozenset({"setup", "predict", "update"})
     symbol: str | None = None
@@ -276,6 +352,112 @@ def _grouped_demean(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Range rules (see RangeRule).  The four IEEE basic operations round
+# correctly, and rounding is monotone, so evaluating an interval's corners
+# with the same operation bounds every rounded interior result — those
+# rules need no widening.  Everything else (reductions, transcendentals,
+# sampled initialisers) is widened by _ROUNDING_PAD.
+# ---------------------------------------------------------------------------
+
+#: Relative widening covering the accumulated rounding of a reduction or a
+#: transcendental, with orders of magnitude to spare (a length-n sum is off
+#: by at most about n * 2.2e-16 of its magnitude).
+_ROUNDING_PAD = 1e-9
+
+
+def _widen(lo: float, hi: float, scale: float | None = None) -> Interval:
+    pad = _ROUNDING_PAD * (max(abs(lo), abs(hi)) if scale is None else scale)
+    return (lo - pad, hi + pad)
+
+
+def _magnitude(interval: Interval) -> float:
+    return max(abs(interval[0]), abs(interval[1]))
+
+
+def _product(a: Interval, b: Interval) -> Interval:
+    corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(corners), max(corners))
+
+
+def _quotient(inputs, params, ctx) -> Interval | None:
+    numerator, denominator = inputs
+    if not (denominator[0] >= _EPS or denominator[1] <= -_EPS):
+        return None  # the guard may swap in 1.0, or the quotient explodes
+    corners = tuple(n / d for n in numerator for d in denominator)
+    return (min(corners), max(corners))
+
+
+def _abs_range(inputs, params, ctx) -> Interval:
+    lo, hi = inputs[0]
+    if lo >= 0.0:
+        return (lo, hi)
+    if hi <= 0.0:
+        return (-hi, -lo)
+    return (0.0, max(-lo, hi))
+
+
+def _exp_range(inputs, params, ctx) -> Interval:
+    lo, hi = (min(max(bound, -50.0), 50.0) for bound in inputs[0])
+    return _widen(math.exp(lo), math.exp(hi))
+
+
+def _log_range(inputs, params, ctx) -> Interval:
+    lo, hi = inputs[0]
+    smallest = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    return _widen(math.log(max(smallest, _EPS)),
+                  math.log(max(_magnitude(inputs[0]), _EPS)))
+
+
+def _const_range(inputs, params, ctx) -> Interval | None:
+    value = float(params["constant"])
+    return (value, value) if math.isfinite(value) else None
+
+
+def _uniform_range(inputs, params, ctx) -> Interval | None:
+    low = float(min(params["low"], params["high"]))
+    high = float(max(params["low"], params["high"])) + _EPS
+    if not math.isfinite(high - low):
+        return None
+    return _widen(low, high)
+
+
+def _sum_range(length: int, interval: Interval) -> Interval:
+    return _widen(length * interval[0], length * interval[1])
+
+
+def _norm_range(length: int, interval: Interval) -> Interval:
+    return _widen(0.0, math.sqrt(length) * _magnitude(interval))
+
+
+def _fixed(label: str, lo: float, hi: float, rounded: bool = False) -> RangeRule:
+    interval = _widen(lo, hi) if rounded else (lo, hi)
+    return RangeRule(label, lambda inputs, params, ctx: interval)
+
+
+_ADD = RangeRule("a + b", lambda i, p, c: (i[0][0] + i[1][0], i[0][1] + i[1][1]))
+_SUB = RangeRule("a - b", lambda i, p, c: (i[0][0] - i[1][1], i[0][1] - i[1][0]))
+_MUL = RangeRule("a * b", lambda i, p, c: _product(i[0], i[1]))
+_DIV = RangeRule("a / b if |b| >= eps", _quotient)
+_MIN = RangeRule("min(a, b)", lambda i, p, c: (min(i[0][0], i[1][0]),
+                                              min(i[0][1], i[1][1])))
+_MAX = RangeRule("max(a, b)", lambda i, p, c: (max(i[0][0], i[1][0]),
+                                              max(i[0][1], i[1][1])))
+_ABS = RangeRule("|a|", _abs_range)
+_SAME = RangeRule("a", lambda i, p, c: i[0])
+_UNIT = _fixed("[0, 1]", 0.0, 1.0)
+_SIGNED_UNIT = _fixed("[-1, 1]", -1.0, 1.0)
+_TRIG = _fixed("[-1, 1]", -1.0, 1.0, rounded=True)
+_HALF_PI = _fixed("[-pi/2, pi/2]", -math.pi / 2, math.pi / 2, rounded=True)
+_NO_BOUND = RangeRule("none", lambda i, p, c: None)
+_MEAN = RangeRule("hull(a)", lambda i, p, c: _widen(*i[0]))
+_STD = RangeRule("[0, (hi - lo) / 2]", lambda i, p, c: _widen(
+    0.0, (i[0][1] - i[0][0]) / 2, scale=_magnitude(i[0])))
+_DOT = RangeRule("w * (a * b)", lambda i, p, c: _sum_range(
+    c.window, _product(i[0], i[1])))
+_UNIFORM = RangeRule("[low, high]", _uniform_range)
+
+
+# ---------------------------------------------------------------------------
 # Scalar operators
 # ---------------------------------------------------------------------------
 
@@ -292,43 +474,49 @@ def _binary(fn):
     return lambda ctx, inputs, params: fn(inputs[0], inputs[1])
 
 
-_register(OpSpec("s_add", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.add), symbol="+",
+_register(OpSpec("s_add", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.add), _ADD, symbol="+",
                   commutative=True))
-_register(OpSpec("s_sub", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.subtract), symbol="-"))
-_register(OpSpec("s_mul", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.multiply), symbol="*",
+_register(OpSpec("s_sub", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.subtract), _SUB, symbol="-"))
+_register(OpSpec("s_mul", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.multiply), _MUL, symbol="*",
                   commutative=True))
-_register(OpSpec("s_div", OpKind.ARITHMETIC, (_S, _S), _S, _binary(_protected_divide), symbol="/"))
-_register(OpSpec("s_min", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.minimum),
+_register(OpSpec("s_div", OpKind.ARITHMETIC, (_S, _S), _S, _binary(_protected_divide), _DIV, symbol="/"))
+_register(OpSpec("s_min", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.minimum), _MIN,
                   commutative=True))
-_register(OpSpec("s_max", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.maximum),
+_register(OpSpec("s_max", OpKind.ARITHMETIC, (_S, _S), _S, _binary(np.maximum), _MAX,
                   commutative=True))
-_register(OpSpec("s_abs", OpKind.ARITHMETIC, (_S,), _S, _unary(np.abs)))
-_register(OpSpec("s_sign", OpKind.ARITHMETIC, (_S,), _S, _unary(np.sign)))
-_register(OpSpec("s_sin", OpKind.ARITHMETIC, (_S,), _S, _unary(np.sin)))
-_register(OpSpec("s_cos", OpKind.ARITHMETIC, (_S,), _S, _unary(np.cos)))
-_register(OpSpec("s_tan", OpKind.ARITHMETIC, (_S,), _S, _unary(np.tan)))
+_register(OpSpec("s_abs", OpKind.ARITHMETIC, (_S,), _S, _unary(np.abs), _ABS))
+_register(OpSpec("s_sign", OpKind.ARITHMETIC, (_S,), _S, _unary(np.sign), _SIGNED_UNIT))
+_register(OpSpec("s_sin", OpKind.ARITHMETIC, (_S,), _S, _unary(np.sin), _TRIG))
+_register(OpSpec("s_cos", OpKind.ARITHMETIC, (_S,), _S, _unary(np.cos), _TRIG))
+_register(OpSpec("s_tan", OpKind.ARITHMETIC, (_S,), _S, _unary(np.tan), _NO_BOUND))
 _register(OpSpec(
     "s_arcsin", OpKind.ARITHMETIC, (_S,), _S,
     _unary(lambda x: np.arcsin(np.clip(x, -1.0, 1.0))),
+    _HALF_PI,
 ))
 _register(OpSpec(
     "s_arccos", OpKind.ARITHMETIC, (_S,), _S,
     _unary(lambda x: np.arccos(np.clip(x, -1.0, 1.0))),
+    _fixed("[0, pi]", 0.0, math.pi, rounded=True),
 ))
-_register(OpSpec("s_arctan", OpKind.ARITHMETIC, (_S,), _S, _unary(np.arctan)))
+_register(OpSpec("s_arctan", OpKind.ARITHMETIC, (_S,), _S, _unary(np.arctan), _HALF_PI))
 _register(OpSpec(
     "s_exp", OpKind.ARITHMETIC, (_S,), _S, _unary(lambda x: np.exp(np.clip(x, -50.0, 50.0))),
+    RangeRule("exp(clip(a, -50, 50))", _exp_range),
 ))
 _register(OpSpec(
     "s_log", OpKind.ARITHMETIC, (_S,), _S,
     _unary(lambda x: np.log(np.maximum(np.abs(x), _EPS))),
+    RangeRule("log(max(|a|, eps))", _log_range),
 ))
 _register(OpSpec(
     "s_heaviside", OpKind.ARITHMETIC, (_S,), _S, _unary(lambda x: np.heaviside(x, 1.0)),
+    _UNIT,
 ))
 _register(OpSpec(
     "s_const", OpKind.INIT, (), _S,
     lambda ctx, inputs, params: np.full(ctx.num_tasks, params["constant"]),
+    RangeRule("constant", _const_range),
     param_names=("constant",),
 ))
 
@@ -336,58 +524,69 @@ _register(OpSpec(
 # Vector operators
 # ---------------------------------------------------------------------------
 
-_register(OpSpec("v_add", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.add), symbol="+",
+_register(OpSpec("v_add", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.add), _ADD, symbol="+",
                   commutative=True))
-_register(OpSpec("v_sub", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.subtract), symbol="-"))
-_register(OpSpec("v_mul", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.multiply), symbol="*",
+_register(OpSpec("v_sub", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.subtract), _SUB, symbol="-"))
+_register(OpSpec("v_mul", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.multiply), _MUL, symbol="*",
                   commutative=True))
-_register(OpSpec("v_div", OpKind.ARITHMETIC, (_V, _V), _V, _binary(_protected_divide), symbol="/"))
-_register(OpSpec("v_min", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.minimum),
+_register(OpSpec("v_div", OpKind.ARITHMETIC, (_V, _V), _V, _binary(_protected_divide), _DIV, symbol="/"))
+_register(OpSpec("v_min", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.minimum), _MIN,
                   commutative=True))
-_register(OpSpec("v_max", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.maximum),
+_register(OpSpec("v_max", OpKind.ARITHMETIC, (_V, _V), _V, _binary(np.maximum), _MAX,
                   commutative=True))
-_register(OpSpec("v_abs", OpKind.ARITHMETIC, (_V,), _V, _unary(np.abs)))
+_register(OpSpec("v_abs", OpKind.ARITHMETIC, (_V,), _V, _unary(np.abs), _ABS))
 _register(OpSpec(
     "v_heaviside", OpKind.ARITHMETIC, (_V,), _V, _unary(lambda x: np.heaviside(x, 1.0)),
+    _UNIT,
 ))
 _register(OpSpec(
     "v_scale", OpKind.ARITHMETIC, (_S, _V), _V,
     lambda ctx, inputs, params: inputs[0][:, None] * inputs[1],
+    _MUL,
 ))
 _register(OpSpec(
     "v_dot", OpKind.ARITHMETIC, (_V, _V), _S,
     lambda ctx, inputs, params: np.einsum("kw,kw->k", inputs[0], inputs[1]),
+    _DOT,
     commutative=True,
 ))
 _register(OpSpec(
     "v_outer", OpKind.ARITHMETIC, (_V, _V), _M,
     lambda ctx, inputs, params: np.einsum("kf,kw->kfw", inputs[0], inputs[1]),
+    _MUL,
 ))
 _register(OpSpec(
     "v_norm", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: np.linalg.norm(inputs[0], axis=-1),
+    RangeRule("[0, sqrt(w) * |a|]",
+              lambda i, p, c: _norm_range(c.window, i[0])),
 ))
 _register(OpSpec(
     "v_mean", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: inputs[0].mean(axis=-1),
+    _MEAN,
 ))
 _register(OpSpec(
     "v_std", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: inputs[0].std(axis=-1),
+    _STD,
 ))
 _register(OpSpec(
     "v_sum", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: inputs[0].sum(axis=-1),
+    RangeRule("w * a", lambda i, p, c: _sum_range(c.window, i[0])),
 ))
 _register(OpSpec(
     "ts_rank", OpKind.ARITHMETIC, (_V,), _S,
     lambda ctx, inputs, params: (
         (inputs[0] < inputs[0][:, -1:]).sum(axis=-1) / max(inputs[0].shape[-1] - 1, 1)
     ),
+    _UNIT,
 ))
 _register(OpSpec(
     "v_broadcast", OpKind.ARITHMETIC, (_S,), _V,
     lambda ctx, inputs, params: np.repeat(inputs[0][:, None], ctx.window, axis=1),
+    _SAME,
 ))
 _register(OpSpec(
     "vector_uniform", OpKind.INIT, (), _V,
@@ -396,6 +595,7 @@ _register(OpSpec(
         max(params["low"], params["high"]) + _EPS,
         size=(ctx.num_tasks, ctx.window),
     ),
+    _UNIFORM,
     param_names=("low", "high"),
 ))
 
@@ -403,61 +603,74 @@ _register(OpSpec(
 # Matrix operators
 # ---------------------------------------------------------------------------
 
-_register(OpSpec("m_add", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.add), symbol="+",
+_register(OpSpec("m_add", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.add), _ADD, symbol="+",
                   commutative=True))
-_register(OpSpec("m_sub", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.subtract), symbol="-"))
-_register(OpSpec("m_mul", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.multiply), symbol="*",
+_register(OpSpec("m_sub", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.subtract), _SUB, symbol="-"))
+_register(OpSpec("m_mul", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.multiply), _MUL, symbol="*",
                   commutative=True))
-_register(OpSpec("m_div", OpKind.ARITHMETIC, (_M, _M), _M, _binary(_protected_divide), symbol="/"))
-_register(OpSpec("m_min", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.minimum),
+_register(OpSpec("m_div", OpKind.ARITHMETIC, (_M, _M), _M, _binary(_protected_divide), _DIV, symbol="/"))
+_register(OpSpec("m_min", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.minimum), _MIN,
                   commutative=True))
-_register(OpSpec("m_max", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.maximum),
+_register(OpSpec("m_max", OpKind.ARITHMETIC, (_M, _M), _M, _binary(np.maximum), _MAX,
                   commutative=True))
-_register(OpSpec("m_abs", OpKind.ARITHMETIC, (_M,), _M, _unary(np.abs)))
+_register(OpSpec("m_abs", OpKind.ARITHMETIC, (_M,), _M, _unary(np.abs), _ABS))
 _register(OpSpec(
     "m_heaviside", OpKind.ARITHMETIC, (_M,), _M, _unary(lambda x: np.heaviside(x, 1.0)),
+    _UNIT,
 ))
 _register(OpSpec(
     "m_scale", OpKind.ARITHMETIC, (_S, _M), _M,
     lambda ctx, inputs, params: inputs[0][:, None, None] * inputs[1],
+    _MUL,
 ))
 _register(OpSpec(
     "matmul", OpKind.ARITHMETIC, (_M, _M), _M,
     lambda ctx, inputs, params: np.matmul(inputs[0], inputs[1]),
+    _DOT,
 ))
 _register(OpSpec(
     "matvec", OpKind.ARITHMETIC, (_M, _V), _V,
     lambda ctx, inputs, params: np.einsum("kfw,kw->kf", inputs[0], inputs[1]),
+    _DOT,
 ))
 _register(OpSpec(
     "transpose", OpKind.ARITHMETIC, (_M,), _M,
     lambda ctx, inputs, params: np.swapaxes(inputs[0], -1, -2),
+    _SAME,
 ))
 _register(OpSpec(
     "m_norm", OpKind.ARITHMETIC, (_M,), _S,
     lambda ctx, inputs, params: np.linalg.norm(inputs[0], axis=(-2, -1)),
+    RangeRule("[0, sqrt(f * w) * |a|]", lambda i, p, c: _norm_range(
+        c.num_features * c.window, i[0])),
 ))
 _register(OpSpec(
     "m_norm_axis", OpKind.ARITHMETIC, (_M,), _V,
     lambda ctx, inputs, params: np.linalg.norm(inputs[0], axis=-2 + params["axis"] * 1),
+    RangeRule("[0, sqrt(n) * |a|]", lambda i, p, c: _norm_range(
+        max(c.num_features, c.window), i[0])),
     param_names=("axis",),
 ))
 _register(OpSpec(
     "m_mean", OpKind.ARITHMETIC, (_M,), _S,
     lambda ctx, inputs, params: inputs[0].mean(axis=(-2, -1)),
+    _MEAN,
 ))
 _register(OpSpec(
     "m_std", OpKind.ARITHMETIC, (_M,), _S,
     lambda ctx, inputs, params: inputs[0].std(axis=(-2, -1)),
+    _STD,
 ))
 _register(OpSpec(
     "m_mean_axis", OpKind.ARITHMETIC, (_M,), _V,
     lambda ctx, inputs, params: inputs[0].mean(axis=-2 + params["axis"] * 1),
+    _MEAN,
     param_names=("axis",),
 ))
 _register(OpSpec(
     "m_std_axis", OpKind.ARITHMETIC, (_M,), _V,
     lambda ctx, inputs, params: inputs[0].std(axis=-2 + params["axis"] * 1),
+    _STD,
     param_names=("axis",),
 ))
 _register(OpSpec(
@@ -467,6 +680,7 @@ _register(OpSpec(
         if params["axis"] == 0
         else np.repeat(inputs[0][:, :, None], ctx.window, axis=2)
     ),
+    _SAME,
     param_names=("axis",),
 ))
 _register(OpSpec(
@@ -476,6 +690,7 @@ _register(OpSpec(
         max(params["low"], params["high"]) + _EPS,
         size=(ctx.num_tasks, ctx.num_features, ctx.window),
     ),
+    _UNIFORM,
     param_names=("low", "high"),
 ))
 
@@ -487,16 +702,19 @@ _register(OpSpec(
     "get_scalar", OpKind.EXTRACTION, (_M,), _S,
     lambda ctx, inputs, params: inputs[0][:, params["row"] % ctx.num_features,
                                           params["col"] % ctx.window],
+    _SAME,
     param_names=("row", "col"),
 ))
 _register(OpSpec(
     "get_row", OpKind.EXTRACTION, (_M,), _V,
     lambda ctx, inputs, params: inputs[0][:, params["row"] % ctx.num_features, :],
+    _SAME,
     param_names=("row",),
 ))
 _register(OpSpec(
     "get_column", OpKind.EXTRACTION, (_M,), _V,
     lambda ctx, inputs, params: inputs[0][:, :, params["col"] % ctx.window],
+    _SAME,
     param_names=("col",),
 ))
 
@@ -507,11 +725,13 @@ _register(OpSpec(
 _register(OpSpec(
     "rank", OpKind.RELATION, (_S,), _S,
     lambda ctx, inputs, params: _cross_sectional_rank(inputs[0]),
+    _UNIT,
     components=frozenset({"predict", "update"}),
 ))
 _register(OpSpec(
     "relation_rank", OpKind.RELATION, (_S,), _S,
     lambda ctx, inputs, params: _grouped_rank(inputs[0], ctx.group_index(params["level"])),
+    _UNIT,
     param_names=("level",),
     components=frozenset({"predict", "update"}),
 ))
@@ -520,6 +740,8 @@ _register(OpSpec(
     lambda ctx, inputs, params: _grouped_demean(
         inputs[0], ctx.group_index(params["level"])
     ),
+    RangeRule("a - hull(a)", lambda i, p, c: _widen(
+        i[0][0] - i[0][1], i[0][1] - i[0][0], scale=_magnitude(i[0]))),
     param_names=("level",),
     components=frozenset({"predict", "update"}),
 ))
@@ -531,6 +753,7 @@ _register(OpSpec(
     # signals reachable in a single mutation.
     "relation_mean", OpKind.RELATION, (_S,), _S,
     lambda ctx, inputs, params: _grouped_mean(inputs[0], ctx.group_index(params["level"])),
+    _MEAN,
     param_names=("level",),
     components=frozenset({"predict", "update"}),
 ))

@@ -18,6 +18,7 @@ in a single numpy call:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +124,18 @@ class TaskSet:
     def window(self) -> int:
         """Input time window ``w`` in days."""
         return int(self.features.shape[3])
+
+    @cached_property
+    def value_range(self) -> tuple[float, float]:
+        """``(min, max)`` over every feature and label value (NaN if any is).
+
+        Computed once per task-set object with plain reductions — no
+        panel-sized temporaries — so ``dataclasses.replace`` with new
+        arrays gets a fresh range.
+        """
+        lo = np.minimum(self.features.min(), self.labels.min())
+        hi = np.maximum(self.features.max(), self.labels.max())
+        return float(lo), float(hi)
 
     # ------------------------------------------------------------------
     def _split_slice(self, name: str) -> slice:

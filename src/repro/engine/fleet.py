@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compile import (
-    CompiledAlpha, StackedAlpha, compile_program, stack_signature,
+    CompiledAlpha, StackedAlpha, compile_program, data_bound, stack_signature,
 )
 from ..core.cache import fingerprint
 from ..core.program import AlphaProgram
@@ -646,6 +646,11 @@ class FleetEngine:
         member keys — bitwise identical to the per-program path.
         ``use_update`` and ``time_batched`` default to the paired
         evaluator's settings.
+
+        This protocol run loads ``m0``/``s0`` from the task set alone, so
+        compiled tapes bind with its :func:`~repro.compile.data_bound` as
+        their input range; the online binds (:meth:`warm_start` and the
+        serving units) never get one.
         """
         evaluator = self.evaluator
         use_update = evaluator.use_update if use_update is None else use_update
@@ -655,25 +660,20 @@ class FleetEngine:
         day_indices = evaluator.train_day_indices()
         by_key: dict[str, dict[str, np.ndarray]] = {}
         singles = list(self._programs)
-        single_backend = lambda key: make_backend(  # noqa: E731
-            self._programs[key], ctx, engine=self.engine_name,
-            address_space=evaluator.address_space,
-        )
+        bound = data_bound(self.taskset) if self.engine_name == "compiled" \
+            else None
+        compiled: dict = {}
         if self.stacked and len(self._programs) >= 2:
             compiled, groups = self._signature_groups()
             self._record_stack_telemetry(groups)
             singles = [key for group in groups if len(group) == 1
                        for key in group]
-            # Singleton groups reuse the compile the signature pass already
-            # paid for instead of recompiling through make_backend.
-            single_backend = lambda key: CompiledAlpha(  # noqa: E731
-                compiled[key], ctx
-            )
             for group in groups:
                 if len(group) < 2:
                     continue
                 backend = StackedAlpha(
                     [compiled[key] for key in group], ctx,
+                    input_range=bound,
                     program_chunk=self.program_chunk,
                 )
                 panels = run_protocol(
@@ -694,8 +694,19 @@ class FleetEngine:
                         for split, panel in panels.items()
                     }
         for key in singles:
+            if self.engine_name == "compiled":
+                # Singleton groups reuse the compile the signature pass
+                # already paid for.
+                program = (compiled[key] if key in compiled
+                           else compile_program(self._programs[key]))
+                backend = CompiledAlpha(program, ctx, input_range=bound)
+            else:
+                backend = make_backend(
+                    self._programs[key], ctx, engine=self.engine_name,
+                    address_space=evaluator.address_space,
+                )
             by_key[key] = run_protocol(
-                single_backend(key),
+                backend,
                 self.taskset,
                 splits=splits,
                 day_indices=day_indices,

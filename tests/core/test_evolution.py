@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.fitness import INVALID_FITNESS
 from repro.errors import EvolutionError
+from repro.obs import telemetry_session
 
 
 def make_controller(taskset, dims, max_candidates=80, use_pruning=True,
@@ -154,6 +155,18 @@ class TestEvolutionController:
         assert first.cache_stats.searched == 40
         assert second.cache_stats.searched == 40
         assert len(controller.cache) <= second.cache_stats.evaluated
+
+    def test_search_efficiency_is_observed_once_per_search(self, small_taskset, dims):
+        controller = make_controller(small_taskset, dims, max_candidates=30)
+        with telemetry_session() as telemetry:
+            results = [controller.run(domain_expert_alpha(dims))
+                       for _ in range(3)]
+            hit_rate = telemetry.histogram("search.cache_hit_rate")
+            throughput = telemetry.histogram("search.candidates_per_second")
+        # Every search keeps its own observation; none overwrites another.
+        assert hit_rate.count == throughput.count == 3
+        rates = [r.cache_stats.skipped / r.cache_stats.searched for r in results]
+        assert hit_rate.min == min(rates) and hit_rate.max == max(rates)
 
 
 class TestCandidateScorer:

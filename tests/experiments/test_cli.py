@@ -160,8 +160,8 @@ class TestOps:
             assert name in captured
         assert f"{len(OP_REGISTRY)} operators" in captured
         # the table header names every documented column
-        for column in ("name", "kind", "arity", "signature", "params",
-                       "components"):
+        for column in ("name", "kind", "arity", "signature", "range",
+                       "params", "components"):
             assert column in captured
 
     def test_ops_kind_filter(self, capsys):
@@ -190,6 +190,16 @@ class TestOps:
         captured = capsys.readouterr().out
         line = next(l for l in captured.splitlines() if l.startswith("v_outer"))
         assert "(vector, vector) -> matrix" in line
+
+    def test_range_column_shows_declared_rule(self, capsys):
+        from repro.core.ops import get_op
+
+        main(["ops"])
+        captured = capsys.readouterr().out
+        for name in ("rank", "s_tan", "v_dot"):
+            line = next(l for l in captured.splitlines()
+                        if l.split()[0] == name)
+            assert get_op(name).range_rule.label in line
 
 
 class TestServe:
