@@ -31,6 +31,7 @@ from repro.core import (
     Operand,
     Operation,
     PREDICTION,
+    mean_ic,
     prune_program,
 )
 from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset, load_csv_directory
@@ -96,7 +97,10 @@ def main() -> None:
     print("\nParameter-updating ablation (validation IC):")
     print(f"  with Update():    {with_update.ic_valid:8.4f}")
     print(f"  without Update(): {without_update.ic_valid:8.4f}")
-    print("\nTest IC with Update():", f"{with_update.ic_test:8.4f}")
+    # Fitness is validation-only; the test split is run on demand.
+    test_predictions = evaluator.run(alpha, splits=("test",))["test"]
+    ic_test = mean_ic(test_predictions, taskset.split_labels("test"))
+    print("\nTest IC with Update():", f"{ic_test:8.4f}")
 
 
 if __name__ == "__main__":

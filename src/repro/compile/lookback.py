@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.memory import INPUT_MATRIX, LABEL, Operand
+from ..core.memory import Operand
 from .ir import IRComponent, IRProgram
 from .passes import DataflowInfo
 
@@ -104,11 +104,9 @@ def analyze_lookback(ir: IRProgram, dataflow: DataflowInfo) -> LookbackInfo:
     predict = ir.components["predict"]
     closure = _input_closure(predict)
 
-    # Mutable = rewritten every inference day.  m0/s0 are excluded even if
-    # Predict() writes them: set_input/set_label overwrite their exported
-    # value before the next predict reads it, so their entry value is always
-    # fresh, never carried program output.
-    mutable = (set(predict.exports) & dataflow.carried) - {INPUT_MATRIX, LABEL}
+    # Mutable = rewritten every inference day.  ``carried`` never holds the
+    # fresh inputs m0/s0, and validation forbids writing them.
+    mutable = set(predict.exports) & dataflow.carried
 
     # Reads that feed each mutable operand's next entry value.  Fresh inputs
     # (m0, s0) and frozen memory contribute no depth, so only the mutable

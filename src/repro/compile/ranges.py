@@ -31,9 +31,8 @@ Where the component inputs' ranges come from:
 * ``m0``/``s0`` hold raw bars and labels, so they are unknown unless the
   binding passes ``input_range`` — a bound on every value that can arrive
   there (:func:`data_bound`, used only by the offline protocol over the
-  evaluator's own task set).  If any component writes ``m0`` or ``s0``,
-  that operand may also hold a sanitized output and counts as
-  ``±CLIP_VALUE``.
+  evaluator's own task set).  No program writes them:
+  :meth:`~repro.core.program.AlphaProgram.validate` rejects such a write.
 """
 
 from __future__ import annotations
@@ -139,15 +138,10 @@ def analyze_ranges(
     docstring); ``None`` leaves them unknown.
     """
     template = irs[0]
-    written = set().union(
-        *(component.exports for component in template.components.values())
-    )
 
     def entry_range(operand: Operand) -> Interval | None:
         if operand in (INPUT_MATRIX, LABEL):
-            if input_range is None:
-                return None
-            return SANITIZED if operand in written else input_range
+            return input_range
         return None if operand == PREDICTION else SANITIZED
 
     modes: dict[str, tuple[str, ...]] = {}

@@ -49,7 +49,8 @@ from .mutation import Mutator
 from .program import AlphaProgram
 
 __all__ = ["EvolutionConfig", "Candidate", "TrajectoryPoint", "EvolutionResult",
-           "CandidateScorer", "ScoreBatchHandle", "EvolutionController"]
+           "CandidateScorer", "ScoreBatchHandle", "EvolutionController",
+           "select_best"]
 
 #: Island-controller scheduling strategies (see
 #: :meth:`repro.parallel.islands.IslandEvolutionController`).
@@ -148,6 +149,21 @@ class Candidate:
     def fitness(self) -> float:
         """Fitness used by tournament selection."""
         return self.report.fitness
+
+
+def select_best(population, best_ever: Candidate | None) -> tuple[Candidate, Candidate]:
+    """``(best, best_in_population)`` of a finished search.
+
+    The paper picks the final population's best; if all of it is invalid
+    (tiny budgets), the search falls back to the best candidate seen over
+    the run, counted as ``search.fallbacks``.
+    """
+    best_in_population = max(population, key=lambda candidate: candidate.fitness)
+    if best_in_population.fitness <= INVALID_FITNESS and best_ever is not None:
+        if TELEMETRY.enabled:
+            TELEMETRY.counter("search.fallbacks").inc()
+        return best_ever, best_in_population
+    return best_in_population, best_in_population
 
 
 @dataclass(frozen=True)
@@ -360,14 +376,19 @@ class CandidateScorer:
                      for outcome in outcomes]
         else:
             pairs = self._evaluate_serial(pending)
-        for item, (report, valid_returns) in zip(pending, pairs):
-            report = self._apply_cutoff(report, valid_returns)
+        degenerate = cut = 0
+        for item, (evaluated, valid_returns) in zip(pending, pairs):
+            report = self._apply_cutoff(evaluated, valid_returns)
+            degenerate += not evaluated.is_valid
+            cut += report is not evaluated
             self.cache.record(item.key, report)
             for slot in item.slots:
                 reports[slot] = report
         if TELEMETRY.enabled:
             TELEMETRY.counter("search.candidates").inc(len(reports))
             TELEMETRY.counter("search.evaluations").inc(len(pending))
+            TELEMETRY.counter("search.invalid.degenerate").inc(degenerate)
+            TELEMETRY.counter("search.invalid.cutoff").inc(cut)
             TELEMETRY.histogram("search.score_batch_seconds").observe(
                 time.perf_counter() - started
             )
@@ -567,13 +588,7 @@ class EvolutionController:
             population.popleft()
             self._register(child)
 
-        best_in_population = max(population, key=lambda candidate: candidate.fitness)
-        # The paper selects the best alpha of the final population; if every
-        # surviving member is invalid (tiny budgets), fall back to the best
-        # candidate seen over the whole run.
-        best = best_in_population
-        if best.fitness <= INVALID_FITNESS and self._best_ever is not None:
-            best = self._best_ever
+        best, best_in_population = select_best(population, self._best_ever)
         return EvolutionResult(
             best_program=best.program,
             best_report=best.report,

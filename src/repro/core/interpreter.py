@@ -17,6 +17,10 @@ a fitness — and delegates all *execution* to the unified engine layer
   day loop, a contract gated by ``benchmarks/bench_engine.py`` and the
   ``tests/engine`` parity suite.
 
+Fitness is validation-only (Section 2): :meth:`AlphaEvaluator.evaluate`
+never runs the test split, whose metrics report the final alpha only and
+belong to :class:`~repro.core.mining.MiningSession`.
+
 The evaluator executes every operation for all ``K`` stocks at once (see
 :mod:`repro.core.memory`), which is what makes the cross-sectional
 RelationOps well-defined and the search fast enough in pure Python.
@@ -31,7 +35,7 @@ import numpy as np
 from ..config import AddressSpace, DEFAULT_ADDRESS_SPACE, make_rng
 from ..data.dataset import TaskSet
 from ..errors import ExecutionError
-from .fitness import FitnessReport, INVALID_FITNESS, daily_ic, mean_ic
+from .fitness import FitnessReport, INVALID_FITNESS, daily_ic
 from .ops import ExecutionContext
 from .program import AlphaProgram
 
@@ -45,7 +49,6 @@ class EvaluationResult:
     program: AlphaProgram
     fitness: float
     ic_valid: float
-    ic_test: float
     predictions: dict[str, np.ndarray]
     daily_ic_valid: np.ndarray = field(default_factory=lambda: np.empty(0))
     is_valid: bool = True
@@ -66,6 +69,9 @@ class EvaluationResult:
 class AlphaEvaluator:
     """Executes and scores alpha programs on a :class:`TaskSet`.
 
+    Fitness (:meth:`evaluate`, :meth:`score`) is validation-only (Section
+    2); test metrics belong to :class:`~repro.core.mining.MiningSession`.
+
     Parameters
     ----------
     taskset:
@@ -85,8 +91,6 @@ class AlphaEvaluator:
         When False the ``Update()`` component is skipped entirely — this is
         the ``*_P`` ablation of Table 4 (alpha without the parameter-updating
         function).
-    evaluate_test:
-        Whether :meth:`evaluate` also produces test-split predictions.
     compiled:
         Legacy engine selector, kept for compatibility: ``True`` (the
         default) maps to ``engine="compiled"``, ``False`` to
@@ -111,7 +115,6 @@ class AlphaEvaluator:
         seed: int | np.random.Generator | None = 0,
         max_train_steps: int | None = None,
         use_update: bool = True,
-        evaluate_test: bool = True,
         compiled: bool = True,
         engine: str | None = None,
         time_batched: bool = True,
@@ -130,7 +133,6 @@ class AlphaEvaluator:
         self._base_seed = int(self._seed_rng.integers(0, 2**63 - 1))
         self.max_train_steps = max_train_steps
         self.use_update = use_update
-        self.evaluate_test = evaluate_test
         self.engine = resolve_engine(engine, compiled)
         self.time_batched = bool(time_batched)
         self._sector_index = taskset.taxonomy.group_index("sector")
@@ -240,29 +242,22 @@ class AlphaEvaluator:
         evaluator's fitness semantics.
         """
         valid_preds = predictions["valid"]
-        valid_labels = self.taskset.split_labels("valid")
-        per_day_variance = valid_preds.std(axis=1)
-        if not np.isfinite(valid_preds).all() or np.all(per_day_variance < 1e-12):
+        if not np.isfinite(valid_preds).all() or np.all(valid_preds.std(axis=1) < 1e-12):
             return EvaluationResult(
                 program=program,
                 fitness=INVALID_FITNESS,
                 ic_valid=float("nan"),
-                ic_test=float("nan"),
                 predictions=predictions,
                 is_valid=False,
                 reason="degenerate predictions on the validation split",
             )
 
-        ic_series = daily_ic(valid_preds, valid_labels)
+        ic_series = daily_ic(valid_preds, self.taskset.split_labels("valid"))
         ic_valid = float(ic_series.mean())
-        ic_test = float("nan")
-        if "test" in predictions:
-            ic_test = mean_ic(predictions["test"], self.taskset.split_labels("test"))
         return EvaluationResult(
             program=program,
             fitness=ic_valid,
             ic_valid=ic_valid,
-            ic_test=ic_test,
             predictions=predictions,
             daily_ic_valid=ic_series,
             is_valid=True,
@@ -281,6 +276,5 @@ class AlphaEvaluator:
         as constant predictions yield an invalid :class:`EvaluationResult`
         with the sentinel fitness instead.
         """
-        splits: tuple[str, ...] = ("valid", "test") if self.evaluate_test else ("valid",)
-        predictions = self.run(program, splits=splits, use_update=use_update)
+        predictions = self.run(program, splits=("valid",), use_update=use_update)
         return self.score(program, predictions)

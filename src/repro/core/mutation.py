@@ -94,6 +94,9 @@ class Mutator:
             specs = [s for s in specs if s.kind is not OpKind.RELATION]
         if not self.config.allow_extraction_ops:
             specs = [s for s in specs if s.kind is not OpKind.EXTRACTION]
+        if self.address_space.num_matrices < 2:
+            # m0 is then the only matrix slot, and programs may not write it.
+            specs = [s for s in specs if s.output_type is not OperandType.MATRIX]
         if not specs:
             raise EvolutionError(f"no operators available for component {component!r}")
         return specs
@@ -132,8 +135,8 @@ class Mutator:
             if candidate == LABEL or candidate == INPUT_MATRIX:
                 continue
             return candidate
-        # Degenerate address spaces (e.g. a single matrix slot) fall through
-        # to the prediction/label-safe default.
+        # Tiny address spaces fall through to a writable default (a single
+        # matrix slot never gets here: matrix outputs are then not drawn).
         return PREDICTION if operand_type is OperandType.SCALAR else Operand(operand_type, size - 1)
 
     def random_operation(self, component: str) -> Operation:

@@ -28,7 +28,7 @@ from ..config import (
     MIN_OPS_PER_COMPONENT,
 )
 from ..errors import ProgramError
-from .memory import Operand, OperandType
+from .memory import INPUT_MATRIX, LABEL, Operand, OperandType
 from .ops import OpSpec, get_op
 
 __all__ = ["COMPONENTS", "ComponentLimits", "Operation", "AlphaProgram"]
@@ -200,8 +200,8 @@ class AlphaProgram:
         """Raise :class:`ProgramError` if the program violates the constraints.
 
         Checks operand addresses against the address space, component
-        operation-count limits, and that operators are allowed in the
-        component they appear in.
+        operation-count limits, that operators are allowed in their
+        component, and that nothing writes the daily inputs ``m0``/``s0``.
         """
         limits = limits or ComponentLimits()
         bounds = {
@@ -219,6 +219,11 @@ class AlphaProgram:
                 if component not in operation.spec.components:
                     raise ProgramError(
                         f"operator {operation.op} is not allowed in {component}()"
+                    )
+                if operation.output in (INPUT_MATRIX, LABEL):
+                    raise ProgramError(
+                        f"{component}() writes the reserved input operand "
+                        f"{operation.output.name}"
                     )
                 for operand in (*operation.inputs, operation.output):
                     if operand.index >= bounds[operand.type]:

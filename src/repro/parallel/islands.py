@@ -36,8 +36,8 @@ from ..core.evolution import (
     EvolutionConfig,
     EvolutionResult,
     TrajectoryPoint,
+    select_best,
 )
-from ..core.fitness import INVALID_FITNESS
 from ..core.interpreter import AlphaEvaluator
 from ..core.mutation import MutationConfig, Mutator
 from ..core.ops import Dimensions
@@ -524,10 +524,7 @@ class IslandEvolutionController:
         candidates = [
             candidate for island in self.islands for candidate in island.population
         ]
-        best_in_population = max(candidates, key=lambda candidate: candidate.fitness)
-        best = best_in_population
-        if best.fitness <= INVALID_FITNESS and self._best_ever is not None:
-            best = self._best_ever
+        best, best_in_population = select_best(candidates, self._best_ever)
         return IslandEvolutionResult(
             best_program=best.program,
             best_report=best.report,

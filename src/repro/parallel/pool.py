@@ -53,7 +53,7 @@ import os
 import signal as _signal
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class PoolSpec:
     evaluator_seed: int = 0
     max_train_steps: int | None = None
     use_update: bool = True
-    evaluate_test: bool = True
     long_k: int = LONG_POSITIONS
     short_k: int = SHORT_POSITIONS
     compute_valid_returns: bool = False
@@ -163,7 +162,6 @@ class _WorkerState:
             seed=spec.evaluator_seed,
             max_train_steps=spec.max_train_steps,
             use_update=spec.use_update,
-            evaluate_test=spec.evaluate_test,
             engine=spec.engine,
         )
         engine = None
@@ -273,7 +271,7 @@ class EvaluationPool:
         is published to shared memory once, here.
     num_workers:
         Number of worker processes; defaults to the machine's CPU count.
-    evaluator_seed / max_train_steps / use_update / evaluate_test:
+    evaluator_seed / max_train_steps / use_update:
         Forwarded to each worker's :class:`AlphaEvaluator`; use the same
         values as the serial evaluator to get bitwise-identical reports.
     long_k / short_k / compute_valid_returns:
@@ -312,7 +310,6 @@ class EvaluationPool:
         evaluator_seed: int = 0,
         max_train_steps: int | None = None,
         use_update: bool = True,
-        evaluate_test: bool = True,
         long_k: int = LONG_POSITIONS,
         short_k: int = SHORT_POSITIONS,
         compute_valid_returns: bool = False,
@@ -345,7 +342,6 @@ class EvaluationPool:
             evaluator_seed=evaluator_seed,
             max_train_steps=max_train_steps,
             use_update=use_update,
-            evaluate_test=evaluate_test,
             long_k=long_k,
             short_k=short_k,
             compute_valid_returns=compute_valid_returns,

@@ -104,8 +104,7 @@ class TestSearchHitRate:
     def run_search(self, taskset, canonical, seed=13, budget=400):
         dims = Dimensions(taskset.num_features, taskset.window)
         controller = EvolutionController(
-            evaluator=AlphaEvaluator(taskset, seed=0, max_train_steps=5,
-                                     evaluate_test=False),
+            evaluator=AlphaEvaluator(taskset, seed=0, max_train_steps=5),
             mutator=Mutator(dims, seed=seed),
             config=EvolutionConfig(population_size=12, tournament_size=4,
                                    max_candidates=budget),

@@ -20,7 +20,6 @@ from repro.compile import (
     analyze_ranges,
     compile_program,
     data_bound,
-    lower_program,
 )
 from repro.compile.ranges import CLIP, EXACT, FULL
 from repro.config import make_rng
@@ -29,7 +28,7 @@ from repro.core.memory import INPUT_MATRIX, LABEL, PREDICTION, Operand
 from repro.core.ops import CLIP_VALUE, sample_params
 from repro.core.program import COMPONENTS, AlphaProgram, Operation
 from repro.engine import FleetEngine, IncrementalExecutor
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ProgramError
 from repro.obs import TELEMETRY, telemetry_session
 
 SPLITS = ("train", "valid", "test")
@@ -162,7 +161,7 @@ class TestAnalysis:
         # the prediction operand is restored unchecked by resume
         assert modes["update"] == (FULL, EXACT)
 
-    def test_written_input_matrix_counts_as_clip_range(self, evaluator):
+    def test_written_input_matrix_is_rejected(self, evaluator):
         program = AlphaProgram(
             setup=[],
             predict=[
@@ -173,13 +172,10 @@ class TestAnalysis:
             ],
             update=[],
         )
-        ctx = evaluator.make_context()
-        # The lowered IR still exports the m0 write (dead-code elimination
-        # drops it from executed tapes): m0 may then hold a sanitized write,
-        # so the data bound no longer applies to it.
-        modes = analyze_ranges([lower_program(program)], ctx, (0.0, 2.0)).modes
-        assert modes["predict"] == (CLIP, EXACT)
-        assert modes_of(program, ctx, (0.0, 2.0))["predict"] == (EXACT, EXACT)
+        # The analysis gives every m0/s0 read the data bound; that is sound
+        # because no program that writes them reaches an executor.
+        with pytest.raises(ProgramError, match="reserved input"):
+            evaluator.run(program, splits=("valid",))
 
     def test_nullary_without_proof_is_full(self, evaluator):
         def const(value):

@@ -5,12 +5,18 @@ import pytest
 
 from repro.backtest import BacktestEngine
 from repro.core import (
+    INPUT_MATRIX,
+    PREDICTION,
     AlphaEvaluator,
+    AlphaProgram,
     CandidateScorer,
     CorrelationFilter,
     EvolutionConfig,
     EvolutionController,
+    MutationConfig,
     Mutator,
+    Operand,
+    Operation,
     domain_expert_alpha,
     get_initialization,
 )
@@ -19,10 +25,23 @@ from repro.errors import EvolutionError
 from repro.obs import telemetry_session
 
 
+def degenerate_alpha():
+    """Reads the input (so pruning keeps it) but predicts ``x - x == 0``."""
+    x = Operand.scalar(2)
+    return AlphaProgram(
+        setup=[],
+        predict=[
+            Operation.make("get_scalar", (INPUT_MATRIX,), x, {"row": 0, "col": 0}),
+            Operation.make("s_sub", (x, x), PREDICTION),
+        ],
+        update=[],
+    )
+
+
 def make_controller(taskset, dims, max_candidates=80, use_pruning=True,
-                    correlation_filter=None, seed=3):
+                    correlation_filter=None, seed=3, mutation_config=None):
     evaluator = AlphaEvaluator(taskset, seed=0, max_train_steps=20)
-    mutator = Mutator(dims, seed=seed)
+    mutator = Mutator(dims, config=mutation_config, seed=seed)
     engine = BacktestEngine(taskset, long_k=5, short_k=5) if correlation_filter else None
     return EvolutionController(
         evaluator=evaluator,
@@ -168,6 +187,20 @@ class TestEvolutionController:
         rates = [r.cache_stats.skipped / r.cache_stats.searched for r in results]
         assert hit_rate.min == min(rates) and hit_rate.max == max(rates)
 
+    def test_all_invalid_population_falls_back_once_per_search(self, small_taskset,
+                                                               dims):
+        # Unmutated copies of a degenerate parent: the final population is
+        # all invalid, so the best-seen candidate is returned instead.
+        controller = make_controller(
+            small_taskset, dims, max_candidates=15,
+            mutation_config=MutationConfig(mutation_probability=0.0),
+        )
+        with telemetry_session() as telemetry:
+            result = controller.run(degenerate_alpha())
+            fallbacks = telemetry.counter("search.fallbacks").value
+        assert not result.best_report.is_valid
+        assert fallbacks == 1
+
 
 class TestCandidateScorer:
     def test_score_batch_matches_sequential_scoring(self, small_taskset, dims):
@@ -188,6 +221,28 @@ class TestCandidateScorer:
             assert np.array_equal(left.daily_ic_valid, right.daily_ic_valid)
         assert batched.cache.stats.as_dict() == sequential.cache.stats.as_dict()
         assert batched.candidates_generated == sequential.candidates_generated
+
+    def test_invalid_outcomes_are_counted_once_per_evaluation(self, small_taskset,
+                                                              dims):
+        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=20)
+        engine = BacktestEngine(small_taskset, long_k=5, short_k=5)
+        expert = domain_expert_alpha(dims)
+        correlation_filter = CorrelationFilter()
+        correlation_filter.add_reference("expert", engine.portfolio_returns(
+            evaluator.run(expert, splits=("valid",))["valid"], split="valid"
+        ))
+        scorer = CandidateScorer(evaluator, correlation_filter=correlation_filter,
+                                 backtest_engine=engine)
+        programs = [expert, degenerate_alpha(), expert, degenerate_alpha()]
+        with telemetry_session() as telemetry:
+            reports = scorer.score_batch(programs)
+            degenerate = telemetry.counter("search.invalid.degenerate").value
+            cutoff = telemetry.counter("search.invalid.cutoff").value
+        assert ["cutoff" in report.reason for report in reports] == \
+            [True, False, True, False]
+        assert not any(report.is_valid for report in reports)
+        # The repeats reuse the first evaluations and are not counted again.
+        assert (degenerate, cutoff) == (1, 1)
 
     def test_reset_clears_cache_and_counter(self, small_taskset, dims):
         scorer = CandidateScorer(AlphaEvaluator(small_taskset, seed=0, max_train_steps=20))

@@ -138,7 +138,6 @@ class TestEvaluate:
         assert result.is_valid
         assert result.ic_valid > 0.0
         assert result.fitness == result.ic_valid
-        assert not np.isnan(result.ic_test)
 
     def test_degenerate_alpha_flagged_invalid(self, evaluator):
         program = AlphaProgram(
@@ -158,8 +157,12 @@ class TestEvaluate:
         assert report.is_valid == result.is_valid
 
     def test_evaluate_without_test_split(self, small_taskset):
-        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=30,
-                                   evaluate_test=False)
+        """``evaluate`` never returns test predictions: fitness is
+        validation-only, and the test split is the mining session's."""
+        evaluator = AlphaEvaluator(small_taskset, seed=0, max_train_steps=30)
         result = evaluator.evaluate(domain_expert_alpha(Dimensions(13, 13)))
-        assert np.isnan(result.ic_test)
-        assert "test" not in result.predictions
+        assert set(result.predictions) == {"valid"}
+        np.testing.assert_array_equal(
+            result.predictions["valid"],
+            evaluator.run(domain_expert_alpha(Dimensions(13, 13)))["valid"],
+        )

@@ -1,5 +1,8 @@
 """Tests for the multi-round weakly-correlated mining session."""
 
+import inspect
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from repro.core import (
     domain_expert_alpha,
     prune_program,
 )
+from repro.core.interpreter import AlphaEvaluator
+from repro.engine import FleetEngine
 from repro.errors import EvolutionError
 
 
@@ -109,8 +114,6 @@ class TestSearch:
     def test_checkpoint_dir_alone_enables_checkpointing(self, small_taskset, dims,
                                                         tmp_path):
         """--checkpoint without --islands/--workers must not be ignored."""
-        import os
-
         session = MiningSession(
             small_taskset,
             evolution_config=EvolutionConfig(population_size=8, tournament_size=3,
@@ -144,3 +147,90 @@ class TestSearch:
                                 enforce_cutoff=True)
         assert first.extras["num_islands"] == 3
         assert not np.isnan(second.correlation_with_accepted)
+
+
+@pytest.fixture()
+def split_log(tmp_path, monkeypatch):
+    """Log the splits of every ``FleetEngine.run`` and ``AlphaEvaluator.run``.
+
+    The spies append to a file, so runs inside forked pool workers (which
+    inherit the patched classes) are logged too.  Returns a reader giving
+    ``(kind, pid, splits)`` tuples.
+    """
+    path = tmp_path / "splits.log"
+
+    def spy(cls, kind):
+        original = cls.run
+        signature = inspect.signature(original)
+
+        def run(self, *args, **kwargs):
+            bound = signature.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            with open(path, "a") as log:
+                log.write(f"{kind} {os.getpid()} "
+                          f"{','.join(bound.arguments['splits'])}\n")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "run", run)
+
+    spy(FleetEngine, "fleet")
+    spy(AlphaEvaluator, "evaluator")
+
+    def read():
+        if not path.exists():
+            return []
+        entries = [line.split() for line in path.read_text().splitlines()]
+        return [(kind, int(pid), tuple(splits.split(",")))
+                for kind, pid, splits in entries]
+
+    return read
+
+
+class TestValidationOnlySearch:
+    """Candidates are scored on the validation split alone; only the
+    winner's assessment runs the test split."""
+
+    @staticmethod
+    def mine_two(taskset, dims, **parallel):
+        session = MiningSession(
+            taskset,
+            evolution_config=EvolutionConfig(population_size=8, tournament_size=3,
+                                             max_candidates=40, **parallel),
+            long_k=5,
+            short_k=5,
+            max_train_steps=20,
+            seed=11,
+        )
+        first = session.search(domain_expert_alpha(dims), name="alpha_AE_D_0",
+                               enforce_cutoff=False)
+        session.accept(first)
+        # With a reference in A, the cutoff path (validation returns) runs.
+        second = session.search(domain_expert_alpha(dims), name="alpha_AE_D_1")
+        return [first, second]
+
+    @staticmethod
+    def assert_validation_only(runs, pool):
+        fleet = [entry for entry in runs if entry[0] == "fleet"]
+        evaluator = [entry for entry in runs if entry[0] == "evaluator"]
+        assert fleet and all(splits == ("valid",) for _, _, splits in fleet)
+        # One assessment per search, in the parent process.
+        assert evaluator == [("evaluator", os.getpid(), ("valid", "test"))] * 2
+        scored_in_workers = any(pid != os.getpid() for _, pid, _ in fleet)
+        assert scored_in_workers == pool
+
+    def test_serial_search_never_runs_test_split(self, small_taskset, dims,
+                                                 split_log):
+        self.mine_two(small_taskset, dims)
+        self.assert_validation_only(split_log(), pool=False)
+
+    def test_pool_search_never_runs_test_split(self, small_taskset, dims,
+                                               split_log):
+        in_process = self.mine_two(small_taskset, dims, num_islands=2)
+        before = len(split_log())
+        pooled = self.mine_two(small_taskset, dims, num_islands=2,
+                               num_workers=2)
+        self.assert_validation_only(split_log()[before:], pool=True)
+        for got, want in zip(pooled, in_process):
+            assert got.program == want.program
+            assert got.ic == want.ic and got.sharpe == want.sharpe
+            assert got.valid_returns.tobytes() == want.valid_returns.tobytes()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import AddressSpace
 from repro.core import (
     ComponentLimits,
     INPUT_MATRIX,
@@ -67,6 +68,17 @@ class TestRandomGeneration:
         mutator = Mutator(dims, config=config, seed=3)
         ops = mutator._ops_by_component["predict"]
         assert all(spec.kind is not OpKind.RELATION for spec in ops)
+
+    def test_single_matrix_space_never_writes_m0(self, dims):
+        # m0 is the only matrix slot and validation refuses writes to it,
+        # so matrix-output operators are left out of the mutator's choices.
+        space = AddressSpace(num_matrices=1)
+        mutator = Mutator(dims, address_space=space, seed=5)
+        program = domain_expert_alpha(dims)
+        for _ in range(30):
+            mutator.random_program().validate(space)
+            program = mutator.mutate(program)
+            program.validate(space)
 
     def test_determinism_given_seed(self, dims):
         a = Mutator(dims, seed=11).random_program()

@@ -8,13 +8,16 @@ from repro.core import (
     ComponentLimits,
     Dimensions,
     INPUT_MATRIX,
+    LABEL,
     Operand,
     Operation,
     PREDICTION,
     domain_expert_alpha,
     neural_network_alpha,
 )
+from repro.engine import FleetEngine
 from repro.errors import ProgramError
+from repro.stream import AlphaServer
 
 
 def simple_program():
@@ -136,6 +139,19 @@ class TestAlphaProgram:
         with pytest.raises(ProgramError):
             program.validate()
 
+    @pytest.mark.parametrize("component, write", [
+        ("predict", Operation.make("m_mul", (INPUT_MATRIX, INPUT_MATRIX),
+                                   INPUT_MATRIX)),
+        ("update", Operation.make("s_abs", (PREDICTION,), LABEL)),
+        ("setup", Operation.make("s_const", (), LABEL, {"constant": 1.0})),
+    ])
+    def test_validation_rejects_writes_to_reserved_inputs(self, component,
+                                                          write):
+        program = simple_program()
+        getattr(program, component).insert(0, write)
+        with pytest.raises(ProgramError, match="reserved input"):
+            program.validate()
+
     def test_component_limits_max_for(self):
         limits = ComponentLimits()
         assert limits.max_for("setup") == 21
@@ -159,3 +175,31 @@ class TestBuiltinAlphas:
         for program in (domain_expert_alpha(Dimensions(13, 13)),
                         neural_network_alpha(Dimensions(13, 13))):
             assert AlphaProgram.from_json(program.to_json()) == program
+
+
+class TestReservedInputWrites:
+    """A program writing ``m0``/``s0`` is refused at every entry point: the
+    compiled paths drop such a write where the interpreter keeps it, so
+    their predictions would differ."""
+
+    @staticmethod
+    def loaded_program():
+        program = simple_program()
+        program.predict.append(
+            Operation.make("m_mul", (INPUT_MATRIX, INPUT_MATRIX), INPUT_MATRIX)
+        )
+        return AlphaProgram.from_json(program.to_json())
+
+    def test_evaluator_refuses(self, evaluator):
+        with pytest.raises(ProgramError, match="m0"):
+            evaluator.evaluate(self.loaded_program())
+
+    def test_fleet_refuses(self, evaluator):
+        with pytest.raises(ProgramError, match="m0"):
+            FleetEngine(evaluator).add(self.loaded_program())
+
+    def test_server_refuses(self, small_taskset):
+        server = AlphaServer(small_taskset)
+        with pytest.raises(ProgramError, match="m0"):
+            server.register(self.loaded_program())
+        assert server.registrations == []

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    INPUT_MATRIX,
+    PREDICTION,
     AlphaEvaluator,
+    AlphaProgram,
     Candidate,
     EvolutionConfig,
     EvolutionController,
     FitnessReport,
+    MutationConfig,
     Mutator,
+    Operand,
+    Operation,
     domain_expert_alpha,
 )
 from repro.errors import EvolutionError
+from repro.obs import telemetry_session
 from repro.parallel import EvaluationPool, Island, IslandConfig, IslandEvolutionController
 
 
@@ -107,6 +114,25 @@ class TestIslandEvolution:
         # searches themselves are independent restarts.
         assert first.candidates_generated == second.candidates_generated == 30
         assert second.cache_stats.searched == 30
+
+    def test_all_invalid_population_falls_back_once_per_search(self, small_taskset,
+                                                               dims):
+        # Unmutated copies of a constant-prediction parent leave every
+        # island's population invalid: the best-seen candidate is returned.
+        x = Operand.scalar(2)
+        degenerate = AlphaProgram(setup=[], update=[], predict=[
+            Operation.make("get_scalar", (INPUT_MATRIX,), x, {"row": 0, "col": 0}),
+            Operation.make("s_sub", (x, x), PREDICTION),
+        ])
+        controller = make_controller(
+            small_taskset, dims, max_candidates=20,
+            mutation_config=MutationConfig(mutation_probability=0.0),
+        )
+        with telemetry_session() as telemetry:
+            result = controller.run(degenerate)
+            fallbacks = telemetry.counter("search.fallbacks").value
+        assert not result.best_report.is_valid
+        assert fallbacks == 1
 
     def test_single_island_needs_no_migration(self, small_taskset, dims):
         controller = make_controller(small_taskset, dims, num_islands=1,
