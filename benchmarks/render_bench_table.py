@@ -73,12 +73,9 @@ def _render_parallel(payload: dict) -> list[Row]:
             f"`bench_parallel.py` on {payload['cpu_count']} CPU(s): "
             "speedup headline skipped (single core), bitwise parity held",
         )]
-    count, best = max(
-        workers.items(), key=lambda item: item[1]["candidates_per_second"]
-    )
     return [(
-        f"evaluation pool, {count} workers vs serial",
-        f"{best['candidates_per_second'] / serial:.2f}x",
+        f"evaluation pool, {payload['speedup_workers']} workers vs serial",
+        f"{payload['speedup']:.2f}x",
         f"`bench_parallel.py` on {payload['cpu_count']} CPU(s), "
         "bitwise parity",
     )]
