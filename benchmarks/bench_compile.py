@@ -15,9 +15,10 @@ hoisting and fused batched inference) — and records:
   identical between the two paths (the whole design contract);
 * a hard **stress parity check** where range-proven sanitize elision is
   most likely to go wrong: features scaled near the clip bound and features
-  with NaN/±inf cells, evaluated through ``FleetEngine.run`` (the path that
-  binds tapes with the task set's data bound) per-program and stacked, day
-  loop and time-batched, against the interpreter.
+  with NaN/±inf cells, evaluated per program (``AlphaEvaluator.run``, a
+  one-lane tape without an input range) and through ``FleetEngine.run``
+  (stacked signature groups and one-lane tapes, bound with the task set's
+  data bound), day loop and time-batched, against the interpreter.
 
 Results are written to ``benchmarks/results/BENCH_compile.json`` (the
 source of truth, with a copy at the repository root — see
@@ -90,7 +91,7 @@ def stress_tasksets(taskset) -> dict:
 
 
 def stress_parity(taskset, programs) -> dict[str, bool]:
-    """Interpreter vs every fleet path, bitwise, on each stress task set."""
+    """Interpreter vs per-program and stacked paths, bitwise, per stress set."""
     verdicts = {}
     for name, variant in stress_tasksets(taskset).items():
         interpreter = AlphaEvaluator(
@@ -99,20 +100,20 @@ def stress_parity(taskset, programs) -> dict[str, bool]:
         expected = [interpreter.run(program, splits=SPLITS)
                     for program in programs]
         identical = True
-        for stacked in (False, True):
-            for time_batched in (False, True):
-                fleet = FleetEngine(
-                    AlphaEvaluator(variant, seed=EVALUATOR_SEED,
-                                   **EVALUATOR_KWARGS),
-                    dedup=False, stacked=stacked,
-                )
-                for index, program in enumerate(programs):
-                    fleet.add(program, name=f"p{index}")
-                runs = fleet.run(splits=SPLITS, time_batched=time_batched)
+        for time_batched in (False, True):
+            evaluator = AlphaEvaluator(variant, seed=EVALUATOR_SEED,
+                                       time_batched=time_batched,
+                                       **EVALUATOR_KWARGS)
+            fleet = FleetEngine(evaluator, dedup=False)
+            for index, program in enumerate(programs):
+                fleet.add(program, name=f"p{index}")
+            identical &= fleet.stack_groups >= 1
+            runs = fleet.run(splits=SPLITS)
+            for index, (program, panels) in enumerate(zip(programs, expected)):
+                solo = evaluator.run(program, splits=SPLITS)
                 identical &= all(
-                    runs[f"p{index}"][split].tobytes()
-                    == panels[split].tobytes()
-                    for index, panels in enumerate(expected)
+                    got[split].tobytes() == panels[split].tobytes()
+                    for got in (runs[f"p{index}"], solo)
                     for split in SPLITS
                 )
         verdicts[name] = bool(identical)

@@ -1,19 +1,21 @@
-"""Alpha-program compilation: SSA IR, optimiser passes, fused executor.
+"""Alpha-program compilation: SSA IR, optimiser passes, the tape executor.
 
 The pipeline generalises the paper's Section 4.2 dataflow view of an alpha
 into a small query-engine-style compiler: programs are lowered into an SSA
 IR (:mod:`.ir`), optimised by a pass pipeline (:mod:`.passes` — constant
 folding, commutative canonicalisation, common-subexpression elimination and
 a dead-code elimination that reuses the backward-liveness pruning), and
-executed by a flat-tape executor (:mod:`.executor`) with pre-resolved
-dispatch, preallocated slots, range-proven sanitize elision (:mod:`.ranges`)
-and a fused batched inference stage.
+executed by one flat-tape executor (:mod:`.stacked`) with pre-resolved
+dispatch, preallocated slots, range-proven sanitize elision (:mod:`.ranges`),
+a fused batched inference stage and a leading program axis that runs a
+signature group of programs as one tape.
 
 Entry points:
 
-* :func:`compile_program` + :class:`CompiledAlpha` — the execution pipeline
-  (bitwise identical to the interpreter; used by
-  :class:`repro.core.interpreter.AlphaEvaluator` when ``compiled=True``);
+* :func:`compile_program` + :class:`StackedAlpha` — the execution pipeline
+  (bitwise identical to the interpreter; a single program is a one-lane
+  group, which :class:`repro.engine.CompiledBackend` wraps for
+  :class:`repro.core.interpreter.AlphaEvaluator`);
 * :func:`canonical_key` — the canonicalised-IR fingerprint substrate used by
   :class:`repro.core.cache.FingerprintCache`;
 * :func:`describe_compilation` — the ``repro inspect`` report.
@@ -26,11 +28,12 @@ from .compiler import (
     compile_program,
     describe_compilation,
 )
-from .executor import CompiledAlpha, TAPE_STATE_VERSION, TapeState, tape_key_for
 from .ir import IRComponent, IRInstruction, IRProgram, IRValue, lower_program
 from .lookback import LookbackInfo, analyze_lookback
 from .ranges import RangeInfo, analyze_ranges, data_bound
-from .stacked import StackedAlpha, stack_signature
+from .stacked import (
+    TAPE_STATE_VERSION, StackedAlpha, TapeState, stack_signature, tape_key_for,
+)
 from .passes import (
     DataflowInfo,
     PassStats,
@@ -42,7 +45,6 @@ from .passes import (
 )
 
 __all__ = [
-    "CompiledAlpha",
     "CompiledProgram",
     "DataflowInfo",
     "IRComponent",

@@ -6,7 +6,7 @@ Two pipelines share the IR and the passes:
   elimination.  Operand order is never touched, so every value the tape
   computes is the result of a computation the interpreter would have
   performed literally, which is what makes the compiled executor
-  (:class:`~repro.compile.executor.CompiledAlpha`) bitwise identical.
+  (:class:`~repro.compile.stacked.StackedAlpha`) bitwise identical.
 * **fingerprinting** (:func:`canonical_ir` / :func:`canonical_key`) — lower,
   constant folding, commutative canonicalisation, canonical CSE, dead-code
   elimination, then render.  The rendering names values by position instead

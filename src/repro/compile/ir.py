@@ -5,7 +5,7 @@ An :class:`~repro.core.program.AlphaProgram` addresses a small register file
 operand-level optimisation awkward: the same address can hold many unrelated
 values over the course of one component.  Lowering to SSA form gives every
 computed value its own id, so the optimiser passes (:mod:`.passes`) and the
-tape executor (:mod:`.executor`) can reason about dataflow directly:
+tape executor (:mod:`.stacked`) can reason about dataflow directly:
 
 * a **value** is either a *component input* — the content of an operand at
   component entry (carried state, ``m0``, ``s0``) — or the result of one

@@ -16,7 +16,7 @@ declares, and tags each tape entry with one sanitize mode:
   ``±inf``) and the clip alone reproduces ``sanitize``;
 * ``full`` — clip and NaN scrub.
 
-The executors write each mode through
+The tape executor writes each mode through
 :func:`repro.core.ops.sanitize_into`, so every result is bitwise identical
 to the interpreter's by construction.
 

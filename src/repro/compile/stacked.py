@@ -1,72 +1,221 @@
-"""Stacked (cross-program) execution of signature-grouped compiled alphas.
+"""The tape executor: signature-grouped compiled alphas run as one tape.
 
-:class:`CompiledAlpha` removed the per-operation bookkeeping; its fused
-inference path removed the per-*day* dispatch.  The one axis still paid per
-member is the *program* axis: a fleet of P structurally identical programs
-costs P separate tape walks however similar they are.  :class:`StackedAlpha`
-removes it — a group of compiled programs sharing one
-:func:`stack_signature` (same opcode sequence, same SSA wiring, same operand
-inputs/exports; parameter *values* free to differ) executes as **one** tape
-whose state and buffers carry a leading program axis:
+:class:`StackedAlpha` binds a group of compiled programs (:mod:`.compiler`)
+to one problem shape and executes them without any of the interpreter's
+per-operation bookkeeping.  A single program is a one-lane group; every
+compiled execution path in the repository (the evaluator's
+:class:`~repro.engine.backends.CompiledBackend`, the fleet, the streaming
+server) runs through this one executor.
+
+* **pre-resolved dispatch** — every instruction becomes one tape entry with
+  its :class:`~repro.core.ops.OpSpec` function (or batched kernel) looked
+  up once at bind time;
+* **range-proven sanitize elision** — the static range analysis
+  (:mod:`.ranges`) tags each entry ``exact`` / ``clip`` / ``full`` for the
+  hull of the group's parameters, and the result is written into its
+  preallocated buffer with only the sanitize steps that can change a bit
+  (:func:`~repro.core.ops.sanitize_into`);
+* **preallocated memory slots** — each SSA value owns one preallocated
+  buffer and each live operand one state array, so the per-day loop
+  performs no allocation, address checking or dict construction;
+* **static hoisting** — instructions whose transitive inputs are constants
+  or parameter-free initialisers run once in a prologue instead of once
+  per day;
+* **fused batched inference** — when the trained memory is static across
+  inference days (``Predict()`` neither reads the label nor reads an
+  operand it also writes), the whole inference stage collapses into
+  batched tape passes over a leading *day* axis.
+
+A group of P programs sharing one :func:`stack_signature` (same opcode
+sequence, same SSA wiring, same operand inputs/exports; parameter *values*
+free to differ) executes as **one** tape whose state and buffers carry a
+leading program axis:
 
 * scalar operands/values become ``(P, K)``, vectors ``(P, K, w)``, matrices
   ``(P, K, f, w)``;
 * an instruction whose parameters agree across the group and whose operator
-  is exact under a leading axis — the ``_BATCH_SAFE`` / ``_BATCH_OVERRIDES``
-  registry the fused day path trusts, plus the stack-only extensions below —
-  runs as **one** NumPy call for the whole group;
+  is exact under a leading axis (:data:`_BATCH_SAFE` /
+  :data:`_BATCH_OVERRIDES`, plus the stack-only extensions below) runs as
+  **one** NumPy call for the whole group;
 * the extraction operators (``get_scalar`` / ``get_row`` / ``get_column``)
   with *differing* per-member indices run as one advanced-indexing gather;
 * everything else falls back to a per-member slice loop *inside* the entry
   — bitwise identical by construction (the per-lane raw results are written
-  first and sanitised in one elementwise pass), while the batched majority
-  still collapses P-fold dispatch into one call.
+  first and sanitised in one elementwise pass).
 
-Every entry sanitizes in place with the mode the range analysis
-(:mod:`.ranges`) proves for the hull of the group's parameters, so an
-``exact`` entry skips the sanitize outright and a ``clip`` entry skips the
-NaN scan.
+A one-lane group runs its day loop through the registry kernels over
+lane-0 views of its ``(1, ...)`` buffers — the per-day cost of a plain
+per-program tape — and keeps the stacked kernels for fused inference.
 
-Bitwise parity with per-program execution is the same hard contract the
-compiled executor honours against the interpreter.  On top of the fused day
-path's elementwise registry, stacking may also batch the trailing-axis
-reductions, the fixed-subscript contractions and the cross-sectional rank
+Bitwise parity with the interpreter is a hard contract (the fingerprint
+cache and the search both rely on it).  The fused day path only batches
+operators whose elementwise results are exact and shape-independent.  On
+top of those, stacking may batch the trailing-axis reductions, the
+fixed-subscript contractions and the cross-sectional rank
 (:data:`_STACK_SAFE` / :data:`_STACK_OVERRIDES`): each lane's reduction run
 — the contiguous trailing axis over which NumPy accumulates — is unchanged
-by a leading program axis, so the per-element accumulation order (and hence
-every bit of the result) is identical to the per-program call.
+by a leading axis, so every bit of the result is the per-program call's.
 Transcendental elementwise operators (``s_sin`` … ``s_log``) are admitted
-by an import-time probe (:func:`_probe_transcendental_stacking`): their
-SIMD kernels *could* take a different code path for different array
-lengths, so each one is batched only after its stacked call reproduces the
-per-slice call bit for bit on adversarial 2-D and 3-D fixtures (negatives,
-zeros, clip boundaries, denormals).  An operator that fails the probe on
-the running platform simply stays in the per-lane loop — the parity
-contract never rests on an unverified shape-independence assumption.
+by an import-time probe (:func:`_probe_transcendental_stacking`): each one
+is batched only after its stacked call reproduces the per-slice call bit
+for bit on adversarial 2-D and 3-D fixtures, so the parity contract never
+rests on an unverified shape-independence assumption.
 
 Suspend/resume slices cleanly in and out of the stacked buffers:
-:meth:`StackedAlpha.suspend_member` emits a :class:`TapeState`
-indistinguishable from the one a solo :class:`CompiledAlpha` of the same
-program would produce (same ``tape_key``, same operand set), so checkpoints
-move freely between stacked and per-program serving.
+:meth:`StackedAlpha.suspend_member` emits a per-program :class:`TapeState`
+(the member's own ``tape_key``, per-program operand shapes), so a lane
+suspended from any group resumes into any other group holding that program
+— a one-lane group included.
 """
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..core.memory import INPUT_MATRIX, LABEL, Operand, OperandType, PREDICTION
-from ..core.ops import _EPS, CLIP_VALUE, get_op, sanitize_into
+from ..core.ops import _EPS, CLIP_VALUE, Interval, get_op, sanitize_into
 from ..core.program import COMPONENTS
 from ..errors import ExecutionError
 from .compiler import CompiledProgram
-from .executor import (
-    TAPE_STATE_VERSION, TapeState, _batched_func, check_resumed_operands,
-    tape_key_for,
-)
 from .ranges import analyze_ranges
 
-__all__ = ["StackedAlpha", "stack_signature"]
+__all__ = [
+    "StackedAlpha",
+    "TapeState",
+    "TAPE_STATE_VERSION",
+    "check_resumed_operands",
+    "stack_signature",
+    "tape_key_for",
+]
+
+#: Bumped whenever the suspended-state layout changes incompatibly.
+TAPE_STATE_VERSION = 1
+
+
+def tape_key_for(ir) -> str:
+    """The tape identity key: a hash of the execution-pipeline IR.
+
+    Each lane of a :class:`StackedAlpha` carries its own member's key, so
+    a :class:`TapeState` suspended from one group resumes into any other
+    group holding the same program.
+    """
+    return hashlib.sha256(ir.render().encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class TapeState:
+    """Suspended loop-carried state of one program's tape.
+
+    The only state an alpha carries between days is the content of its
+    operand arrays (the static prologue is a pure function of the bound
+    context and is recomputed on resume), so a snapshot of those arrays plus
+    the identity of the tape that produced them is a complete, serialisable
+    suspension point.  ``tape_key`` hashes the execution-pipeline IR and
+    ``base_seed``/``shape`` echo the bound context;
+    :meth:`StackedAlpha.resume` refuses a state taken from a different
+    program or binding instead of silently diverging.
+
+    ``TapeState`` is plain data (strings, ints and numpy arrays) and pickles
+    cleanly, which is what the streaming checkpoint helpers in
+    :mod:`repro.stream.state` rely on.
+    """
+
+    version: int
+    tape_key: str
+    base_seed: int
+    #: ``(num_tasks, num_features, window)`` of the binding.
+    shape: tuple[int, int, int]
+    #: Operand name → array snapshot of the loop-carried state.
+    operands: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def check_resumed_operands(operands: dict[str, np.ndarray],
+                           input_range: Interval | None) -> None:
+    """Refuse snapshot operand state the range analysis does not cover.
+
+    :mod:`.ranges` counts every operand other than ``m0``/``s0``/the
+    prediction as finite and within ``±CLIP_VALUE``, and ``m0``/``s0`` as
+    within ``input_range`` when the binding has one; a resumed state that
+    breaks either would make an elided sanitize observable.
+    """
+    for name, array in operands.items():
+        if name == PREDICTION.name:
+            continue
+        if name in (INPUT_MATRIX.name, LABEL.name):
+            if input_range is None:
+                continue
+            lo, hi = input_range
+        else:
+            lo, hi = -CLIP_VALUE, CLIP_VALUE
+        array = np.asarray(array)
+        # NaN fails both comparisons, so it is refused too.
+        if array.size and not (array.min() >= lo and array.max() <= hi):
+            raise ExecutionError(
+                f"tape state operand {name} holds values outside "
+                f"[{lo:g}, {hi:g}] (or non-finite ones); no tape can have "
+                "produced it"
+            )
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels
+# ---------------------------------------------------------------------------
+
+#: Operators whose registry implementation is already shape-agnostic *and*
+#: elementwise-exact, so running them over a leading day (or program) axis
+#: is bit-for-bit identical to running them slice by slice.
+_BATCH_SAFE = frozenset({
+    "s_add", "s_sub", "s_mul", "s_div", "s_min", "s_max",
+    "s_abs", "s_sign", "s_heaviside",
+    "v_add", "v_sub", "v_mul", "v_div", "v_min", "v_max",
+    "v_abs", "v_heaviside",
+    "m_add", "m_sub", "m_mul", "m_div", "m_min", "m_max",
+    "m_abs", "m_heaviside",
+    "transpose",
+})
+
+#: Batched re-implementations (leading-axis-aware indexing) of exact
+#: operators whose registry form hard-codes the task axis.  Each one is
+#: elementwise identical to the registry implementation on a day slice.
+_BATCH_OVERRIDES = {
+    "v_scale": lambda ctx, inputs, params: inputs[0][..., None] * inputs[1],
+    "m_scale": lambda ctx, inputs, params: inputs[0][..., None, None] * inputs[1],
+    "v_outer": lambda ctx, inputs, params: (
+        inputs[0][..., :, None] * inputs[1][..., None, :]
+    ),
+    "ts_rank": lambda ctx, inputs, params: (
+        (inputs[0] < inputs[0][..., -1:]).sum(axis=-1)
+        / max(inputs[0].shape[-1] - 1, 1)
+    ),
+    "v_broadcast": lambda ctx, inputs, params: np.repeat(
+        inputs[0][..., None], ctx.window, axis=-1
+    ),
+    "m_broadcast": lambda ctx, inputs, params: (
+        np.repeat(inputs[0][..., None, :], ctx.num_features, axis=-2)
+        if params["axis"] == 0
+        else np.repeat(inputs[0][..., :, None], ctx.window, axis=-1)
+    ),
+    "get_scalar": lambda ctx, inputs, params: inputs[0][
+        ..., params["row"] % ctx.num_features, params["col"] % ctx.window
+    ],
+    "get_row": lambda ctx, inputs, params: inputs[0][
+        ..., params["row"] % ctx.num_features, :
+    ],
+    "get_column": lambda ctx, inputs, params: inputs[0][
+        ..., :, params["col"] % ctx.window
+    ],
+}
+
+
+def _batched_func(name: str):
+    """The day-batched kernel for operator ``name`` (``None`` → per-day loop)."""
+    if name in _BATCH_SAFE:
+        return get_op(name).func
+    return _BATCH_OVERRIDES.get(name)
+
 
 #: Ceiling on elements of one stacked+day-batched buffer; the fused path
 #: chunks the day axis so a ``(P, C, K, f, w)`` matrix buffer stays around
@@ -178,9 +327,9 @@ def _stacked_rank(values: np.ndarray) -> np.ndarray:
 #: Stack-only batched kernels: exact re-implementations whose per-lane
 #: arithmetic (contraction order, rank/tie math) reproduces the registry
 #: operator bit for bit under any leading axes.  Unlike ``_BATCH_OVERRIDES``
-#: these are *not* used by the solo fused day path — they exist for the
-#: stacked program axis (and the stacked fused path, where the same
-#: per-run-order argument applies to the day axis).
+#: they only run in ``"stacked"`` mode entries — on the program axis and,
+#: in the fused path, on the day axis, where the same per-run-order
+#: argument applies.
 _STACK_OVERRIDES = {
     "v_dot": lambda ctx, inputs, params: np.einsum(
         "...w,...w->...", inputs[0], inputs[1]
@@ -290,12 +439,16 @@ class _StackedEntry:
     * ``"gather"`` — an extraction operator with per-member indices: one
       advanced-indexing call with precomputed index vectors;
     * ``"loop"`` — per-member slice fallback (exact by construction).
+
+    A one-lane group's day loop ignores ``mode``: it calls the registry
+    kernel on ``lane_inputs`` / ``lane_output``, lane-0 views of the
+    ``(1, ...)`` arrays.
     """
 
     __slots__ = (
         "op", "mode", "func", "out_func", "sanitize", "spec_func", "gather",
         "inputs", "input_ids", "output", "output_id", "params0",
-        "member_params", "calls", "pchunk",
+        "member_params", "calls", "pchunk", "lane_inputs", "lane_output",
     )
 
     def __init__(self, op, mode, func, spec_func, gather, inputs, input_ids,
@@ -320,6 +473,11 @@ class _StackedEntry:
         #: Whether the program axis may be chunked for cache residency
         #: (stacked-mode matrix contractions only; bitwise-neutral).
         self.pchunk = mode == "stacked" and op in _PROGRAM_CHUNK_OPS
+        if len(member_params) == 1:
+            self.lane_inputs = tuple(array[0] for array in inputs)
+            self.lane_output = output[0]
+        else:
+            self.lane_inputs = self.lane_output = None
 
 
 def _make_gather(op: str, member_params, ctx):
@@ -350,7 +508,9 @@ class StackedAlpha:
     :attr:`prediction` is ``(P, K)``, :meth:`run_inference_batch` returns
     ``(D, P, K)``, and :meth:`set_input` / :meth:`set_label` broadcast one
     shared bar across the whole group — so the engine-layer protocol drives
-    a group exactly as it drives one program.
+    a group exactly as it drives one program.  A single program is a
+    one-lane group (:class:`~repro.engine.backends.CompiledBackend` drops
+    the lane axis for per-program callers).
 
     Parameters
     ----------
@@ -358,48 +518,40 @@ class StackedAlpha:
         The group's :class:`~repro.compile.compiler.CompiledProgram` members,
         all sharing one :func:`stack_signature` (validated here).
     ctx:
-        The shared evaluation context every member binds to.
+        The shared evaluation context every member binds to — the same
+        object the interpreter would hand to every operator.
     input_range:
-        A bound on every value ``set_input``/``set_label`` will ever load,
-        as for :class:`~repro.compile.executor.CompiledAlpha`; ``None`` (the
-        default, and the only sound choice online) assumes nothing.
-    program_chunk:
-        Program-axis chunk size for the matrix-heavy stacked contractions
-        (:data:`_PROGRAM_CHUNK_OPS`): ``None`` derives a cache-resident
-        size from the context's per-lane working set, ``0`` disables
-        chunking, a positive int forces that many lanes per kernel call.
-        Contractions treat batch elements independently, so chunking never
-        changes a bit of any result — only how many lanes each NumPy call
-        touches at once.
+        A bound on every value ``set_input``/``set_label`` will ever load
+        (:func:`~repro.compile.ranges.data_bound`), which lets the range
+        analysis elide more sanitizes; ``None`` (the default, and the only
+        sound choice for online serving) assumes nothing about ``m0``/``s0``.
     """
 
-    def __init__(self, compiled_group, ctx, input_range=None,
-                 program_chunk: int | None = None) -> None:
+    def __init__(self, compiled_group, ctx,
+                 input_range: Interval | None = None) -> None:
         compiled_group = list(compiled_group)
         if not compiled_group:
             raise ExecutionError("cannot stack an empty program group")
         template = compiled_group[0]
-        signature = stack_signature(template)
-        for other in compiled_group[1:]:
-            if stack_signature(other) != signature:
-                raise ExecutionError(
-                    f"cannot stack {other.program.name!r} with "
-                    f"{template.program.name!r}: tape signatures differ"
-                )
+        if len(compiled_group) > 1:
+            signature = stack_signature(template)
+            for other in compiled_group[1:]:
+                if stack_signature(other) != signature:
+                    raise ExecutionError(
+                        f"cannot stack {other.program.name!r} with "
+                        f"{template.program.name!r}: tape signatures differ"
+                    )
         self.group = compiled_group
         self.ctx = ctx
         self.num_programs = P = len(compiled_group)
         #: Batched NumPy kernel calls issued so far (telemetry counter feed).
         self.kernel_calls = 0
         self.input_range = input_range
-        if program_chunk is None:
-            # Auto: keep one chunk's matrix operands around the same
-            # budget the fused path uses for its day chunks.
-            per_lane = ctx.num_tasks * ctx.num_features * ctx.window
-            program_chunk = max(1, _MAX_CHUNK_ELEMENTS // max(per_lane, 1))
-        #: Lanes per kernel call for :data:`_PROGRAM_CHUNK_OPS` entries
-        #: (``0`` = monolithic).
-        self.program_chunk = int(program_chunk)
+        # One chunk's matrix operands stay around the budget the fused
+        # path uses for its day chunks.
+        per_lane = ctx.num_tasks * ctx.num_features * ctx.window
+        #: Lanes per kernel call for :data:`_PROGRAM_CHUNK_OPS` entries.
+        self.lane_chunk = max(1, _MAX_CHUNK_ELEMENTS // max(per_lane, 1))
 
         shapes = {
             OperandType.SCALAR: (P, ctx.num_tasks),
@@ -410,6 +562,9 @@ class StackedAlpha:
         ir = template.ir
         carried = template.dataflow.carried
 
+        #: Operand state arrays: the loop-carried memory between components
+        #: and days.  Allocated for every operand the program observes plus
+        #: the three reserved addresses.
         self._state: dict[Operand, np.ndarray] = {}
 
         def state_array(operand: Operand) -> np.ndarray:
@@ -452,6 +607,8 @@ class StackedAlpha:
                     instr, tuple(arrays), output, member_params,
                     ranges.modes[name][index],
                 )
+                # Setup already runs exactly once; hoisting only pays off
+                # for the components inside the per-day loops.
                 is_static = name != "setup" and all(
                     vid in static_ids for vid in instr.inputs
                 )
@@ -474,28 +631,11 @@ class StackedAlpha:
         else:
             self._prediction = self._state[PREDICTION]
         self._prediction_id = prediction_value
-        #: Per-member tape identity — the same key a solo CompiledAlpha of
-        #: that member would carry, so suspended lanes resume anywhere.
+        #: Per-member tape identity, so suspended lanes resume into any
+        #: group holding the same program.
         self.tape_keys = tuple(
             tape_key_for(member.ir) for member in compiled_group
         )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_programs(cls, programs, ctx) -> "StackedAlpha":
-        """Compile ``programs`` in-process and stack them onto ``ctx``.
-
-        The pickle-free rebind used by the shared-memory pool workers:
-        only the (tiny) :class:`~repro.core.program.AlphaProgram` payloads
-        cross the IPC channel; compilation, the stacked ``(P, ...)`` state
-        buffers and the binding to a context whose panels are shared-memory
-        views all happen inside the worker.  Raises
-        :class:`~repro.errors.ExecutionError` when the programs do not
-        share one :func:`stack_signature`.
-        """
-        from .compiler import compile_program
-
-        return cls([compile_program(program) for program in programs], ctx)
 
     # ------------------------------------------------------------------
     def _bind_entry(self, instr, inputs, output, member_params, sanitize):
@@ -536,7 +676,14 @@ class StackedAlpha:
 
     @property
     def supports_static_predict(self) -> bool:
-        """Whether the group's whole ``Predict()`` tape is day-invariant."""
+        """Whether the group's whole ``Predict()`` tape is day-invariant.
+
+        True when, beyond fused-inference eligibility, ``Predict()`` reads
+        no ``Update()``-carried operand — so the engine layer may run even
+        the *training-stage* predictions as one batched
+        :meth:`run_inference_batch` call (see
+        :func:`repro.engine.protocol.training_pass`).
+        """
         return self.group[0].static_predict
 
     # ------------------------------------------------------------------
@@ -551,7 +698,19 @@ class StackedAlpha:
     # ------------------------------------------------------------------
     def _run_tape(self, entries) -> None:
         ctx = self.ctx
+        if self.num_programs == 1:
+            # One lane: the registry kernels on lane-0 views, exactly a
+            # per-program tape walk (no (1, ...) stacked-kernel overhead).
+            for entry in entries:
+                sanitize_into(
+                    entry.lane_output,
+                    entry.spec_func(ctx, entry.lane_inputs, entry.params0),
+                    entry.sanitize,
+                )
+            self.kernel_calls += len(entries)
+            return
         calls = 0
+        chunk = self.lane_chunk
         for entry in entries:
             mode = entry.mode
             if mode == "stacked":
@@ -560,9 +719,7 @@ class StackedAlpha:
                     out = entry.output
                     out_func(entry.inputs, out)
                     sanitize_into(out, out, entry.sanitize)
-                elif (entry.pchunk
-                        and 0 < self.program_chunk < self.num_programs):
-                    chunk = self.program_chunk
+                elif entry.pchunk and chunk < self.num_programs:
                     for lane0 in range(0, self.num_programs, chunk):
                         lanes = slice(lane0, lane0 + chunk)
                         sanitize_into(
@@ -626,12 +783,14 @@ class StackedAlpha:
     # Suspend / resume: lanes slice in and out of the stacked buffers
     # ------------------------------------------------------------------
     def suspend_member(self, lane: int) -> TapeState:
-        """Snapshot one lane as a standard :class:`TapeState`.
+        """Snapshot one lane as a per-program :class:`TapeState`.
 
-        The snapshot carries the member's *own* tape key and the per-program
-        operand shapes, so it is interchangeable with one produced by a solo
-        :class:`~repro.compile.executor.CompiledAlpha` of the same program —
-        stacked fleets checkpoint into per-program servers and back.
+        The snapshot contains everything a later :meth:`resume` needs to
+        continue day-by-day execution bitwise identically to an
+        uninterrupted run: the lane's operand state arrays (the cross-day
+        memory) plus its own tape key and the binding identity.  The
+        hoisted static prologue is *not* captured — it is a deterministic
+        function of the bound context and is recomputed on resume.
         """
         ctx = self.ctx
         return TapeState(
@@ -650,9 +809,10 @@ class StackedAlpha:
 
         Validates each snapshot against its lane (tape key, binding shape,
         seed, operand set, operand values — see
-        :func:`~repro.compile.executor.check_resumed_operands`) before any
-        lane is touched, re-runs the static prologue, then writes every
-        lane's operand state.
+        :func:`check_resumed_operands`) before any lane is touched, re-runs
+        the static prologue, then writes every lane's operand state; the
+        next ``run_predict`` / ``run_update`` continues exactly where the
+        suspended executor stopped.
         """
         states = list(states)
         if len(states) != self.num_programs:
@@ -704,10 +864,11 @@ class StackedAlpha:
         """Run the whole group's inference stage in batched tape passes.
 
         ``features`` is the shared ``(D, K, f, w)`` split; the return value
-        holds ``(D, P, K)`` predictions, bit-for-bit equal to running each
-        member's own fused (or day-loop) inference.  The day axis is chunked
-        so the largest ``(P, C, K, f, w)`` intermediate stays bounded
-        (:data:`_MAX_CHUNK_ELEMENTS`) however big the fleet.
+        holds ``(D, P, K)`` predictions, bit-for-bit equal to looping
+        ``set_input`` / ``run_predict`` over the days.  The day axis is
+        chunked so the largest ``(P, C, K, f, w)`` intermediate stays
+        bounded (:data:`_MAX_CHUNK_ELEMENTS`) however big the group.  Only
+        valid when :attr:`supports_fused_inference` is True.
         """
         template = self.group[0]
         if not template.fused_inference:
@@ -730,7 +891,7 @@ class StackedAlpha:
                 batched_ids.add(entry.output_id)
 
         # Entries off the day axis read only current stacked state: one
-        # execution covers every day (same move as the solo fused path).
+        # execution covers every day.
         static_entries = [
             entry for entry in self._tapes["predict"]
             if entry.output_id not in batched_ids
@@ -746,17 +907,19 @@ class StackedAlpha:
 
         out = np.empty((num_days, P, ctx.num_tasks))
         per_day = P * ctx.num_tasks * ctx.num_features * ctx.window
-        chunk = max(1, _MAX_CHUNK_ELEMENTS // max(per_day, 1))
+        day_chunk = max(1, _MAX_CHUNK_ELEMENTS // max(per_day, 1))
+        lane_chunk = self.lane_chunk
         calls = 0
-        for day0 in range(0, num_days, chunk):
-            days = features[day0:day0 + chunk]
+        for day0 in range(0, num_days, day_chunk):
+            days = features[day0:day0 + day_chunk]
             C = days.shape[0]
             batched: dict[int, np.ndarray] = {}
             if input_matrix_value is not None:
                 # Stride-0 view: the shared bar chunk is never materialised
                 # P times.
-                batched[input_matrix_value] = np.broadcast_to(
-                    days, (P,) + days.shape
+                batched[input_matrix_value] = (
+                    days[None] if P == 1
+                    else np.broadcast_to(days, (P,) + days.shape)
                 )
             for entry in self._tapes["predict"]:
                 if entry.output_id not in batched_ids:
@@ -766,16 +929,14 @@ class StackedAlpha:
                     for vid, array in zip(entry.input_ids, entry.inputs)
                 )
                 output = np.empty((P, C) + entry.output.shape[1:])
-                day_func = _batched_func(entry.op)
                 if entry.mode == "stacked":
                     if entry.out_func is not None:
                         entry.out_func(inputs, output)
                         sanitize_into(output, output, entry.sanitize)
                         calls += 1
-                    elif entry.pchunk and 0 < self.program_chunk < P:
-                        chunk = self.program_chunk
-                        for lane0 in range(0, P, chunk):
-                            lanes = slice(lane0, lane0 + chunk)
+                    elif entry.pchunk and lane_chunk < P:
+                        for lane0 in range(0, P, lane_chunk):
+                            lanes = slice(lane0, lane0 + lane_chunk)
                             sanitize_into(
                                 output[lanes],
                                 entry.func(
@@ -792,7 +953,7 @@ class StackedAlpha:
                             entry.sanitize,
                         )
                         calls += 1
-                elif day_func is not None:
+                elif (day_func := _batched_func(entry.op)) is not None:
                     # Per-member parameters, but the operator batches over
                     # the day axis: one day-batched call per lane (the
                     # elementwise sanitize hoists to one stacked pass).

@@ -23,10 +23,11 @@ Two backends ship:
   :class:`~repro.core.memory.Memory` plus direct
   :class:`~repro.core.ops.OpSpec` dispatch, one operation at a time.
 * :class:`CompiledBackend` — the compilation pipeline
-  (:mod:`repro.compile`): flat tape, pre-resolved dispatch, preallocated
-  buffers, static hoisting, fused/batched kernels and the suspend/resume
-  tape protocol.  Bitwise identical to the interpreter (a hard, tested
-  contract).
+  (:mod:`repro.compile`): one program as a one-lane
+  :class:`~repro.compile.stacked.StackedAlpha` tape (pre-resolved
+  dispatch, preallocated buffers, static hoisting, fused/batched kernels
+  and the suspend/resume tape protocol) with the lane axis dropped.
+  Bitwise identical to the interpreter (a hard, tested contract).
 
 :func:`make_backend` is the single constructor every consumer goes through;
 ``--engine`` on the CLI, ``EvolutionConfig.engine`` and
@@ -44,7 +45,7 @@ from ..core.memory import INPUT_MATRIX, LABEL, Memory, PREDICTION
 from ..core.ops import ExecutionContext
 from ..core.program import AlphaProgram
 from ..errors import EngineError
-from ..compile import CompiledAlpha, compile_program
+from ..compile import StackedAlpha, TapeState, compile_program
 
 __all__ = [
     "ENGINES",
@@ -204,15 +205,17 @@ class InterpreterBackend:
         )
 
 
-class CompiledBackend(CompiledAlpha):
-    """The compiled flat-tape backend, constructed straight from a program.
+class CompiledBackend(StackedAlpha):
+    """The compiled tape backend for one program: a one-lane group.
 
-    A thin constructor over :class:`~repro.compile.executor.CompiledAlpha`
-    (which already satisfies :class:`ExecutionEngine`): it validates the
-    program and runs the execution compilation pipeline, so callers that
-    hold an :class:`~repro.core.program.AlphaProgram` need not touch
-    :mod:`repro.compile` directly.  Adds nothing else — the tape executor
-    *is* the backend.
+    Validates the program, runs the execution compilation pipeline and
+    binds the result as a one-lane
+    :class:`~repro.compile.stacked.StackedAlpha`, so callers that hold an
+    :class:`~repro.core.program.AlphaProgram` need not touch
+    :mod:`repro.compile` directly.  This is the one place the lane axis is
+    dropped: :attr:`prediction` is ``(K,)``, :meth:`run_inference_batch`
+    returns ``(D, K)`` and :meth:`suspend` / :meth:`resume` exchange a
+    single :class:`~repro.compile.stacked.TapeState`.
     """
 
     def __init__(
@@ -222,7 +225,27 @@ class CompiledBackend(CompiledAlpha):
         address_space: AddressSpace = DEFAULT_ADDRESS_SPACE,
     ) -> None:
         program.validate(address_space)
-        super().__init__(compile_program(program), ctx)
+        #: The compiled artefact (its lookback feeds delta-replay).
+        self.compiled = compile_program(program)
+        super().__init__([self.compiled], ctx)
+        self._lane_prediction = self._prediction[0]
+
+    @property
+    def prediction(self) -> np.ndarray:
+        """The ``(K,)`` prediction left by the last ``run_predict``."""
+        return self._lane_prediction
+
+    def run_inference_batch(self, features: np.ndarray) -> np.ndarray:
+        """Predict ``(D, K, f, w)`` days in batched tape passes → ``(D, K)``."""
+        return super().run_inference_batch(features)[:, 0]
+
+    def suspend(self) -> TapeState:
+        """Snapshot the loop-carried state (see :meth:`suspend_member`)."""
+        return self.suspend_member(0)
+
+    def resume(self, state: TapeState) -> None:
+        """Restore a :meth:`suspend` snapshot into this fresh backend."""
+        super().resume([state])
 
 
 #: Engine name → backend class.

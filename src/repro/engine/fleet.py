@@ -20,23 +20,27 @@ arriving bar across its registered alphas.  Both used to own their fan-out;
   program, and every member runs under the single protocol implementation
   of :mod:`repro.engine.protocol` (including its static-predict
   time-batched fast path);
-* **cross-program mega-batching** — after dedup, the surviving unique
-  programs are grouped by :func:`~repro.compile.stacked.stack_signature`
-  (same opcode sequence and SSA wiring; parameter values free to differ)
-  and every group of two or more executes as **one**
-  :class:`~repro.compile.stacked.StackedAlpha` tape whose state carries a
-  leading program axis — one batched ``(P, T, K, ...)`` kernel call per
-  instruction offline, one ``(P, K, ...)`` call per bar online, instead of
-  P separate tape walks.  Mining fleets are near-duplicate-heavy by
-  construction, so most of a candidate generation lands in a few groups.
+* **cross-program mega-batching** — under the compiled engine, the
+  surviving unique programs are grouped by
+  :func:`~repro.compile.stacked.stack_signature` (same opcode sequence and
+  SSA wiring; parameter values free to differ) and every group executes as
+  **one** :class:`~repro.compile.stacked.StackedAlpha` tape whose state
+  carries a leading program axis — one batched ``(P, T, K, ...)`` kernel
+  call per instruction offline, one ``(P, K, ...)`` call per bar online,
+  instead of P separate tape walks.  A program that matches no other is a
+  one-lane group of the same executor.  Mining fleets are
+  near-duplicate-heavy by construction, so most of a candidate generation
+  lands in a few groups.
 
 Offline, :meth:`run` / :meth:`evaluate` replace looping a fresh
-:class:`~repro.core.interpreter.AlphaEvaluator` over the programs; online,
+:class:`~repro.core.interpreter.AlphaEvaluator` over the programs (the
+interpreter engine does exactly that, program by program); online,
 :meth:`warm_start` / :meth:`step_bar` / :meth:`reveal` back
-:class:`repro.stream.server.AlphaServer`.  Results are bitwise identical
-to the per-program paths in both modes and with stacking on or off (a
-tested contract — stacked entries are restricted to the same
-elementwise-exact kernel registry the fused day path trusts).
+:class:`repro.stream.server.AlphaServer` and run on the compiled engine
+only, since serving needs the tape's suspend/resume protocol.  Results are
+bitwise identical to the interpreter in both modes (a tested contract —
+stacked entries are restricted to kernels proven exact under a leading
+axis).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compile import (
-    CompiledAlpha, StackedAlpha, compile_program, data_bound, stack_signature,
+    StackedAlpha, compile_program, data_bound, stack_signature,
 )
 from ..core.cache import fingerprint
 from ..core.program import AlphaProgram
@@ -54,7 +58,6 @@ from ..core.pruning import prune_program
 from ..errors import StreamError
 from ..obs import TELEMETRY
 from .backends import make_backend, resolve_engine
-from .incremental import IncrementalExecutor
 from .protocol import run_protocol, training_pass
 from .replay import (
     CorrectionResult, SnapshotRing, replay_correction, snapshot_depth_for,
@@ -92,19 +95,18 @@ def stack_partition(programs, engine: str | None = "compiled") -> list[list[int]
     return list(groups.values())
 
 
-def evaluate_program_batch(evaluator, programs, stacked: bool | None = None):
+def evaluate_program_batch(evaluator, programs):
     """Evaluate ``programs`` as one fleet over a shared context/data pass.
 
     Returns one :class:`~repro.core.interpreter.EvaluationResult` per
     program, in input order.  Deduplication stays off — callers (the
     scorer's cache, the pool's dispatch planner) already decided which
-    programs to run — while stacking (on by default under the compiled
-    engine) executes each signature group as a single stacked tape.  This
-    is the one evaluation entry point shared by the serial scorer and the
-    pool workers, which is what keeps pooled results bitwise identical to
-    serial ones.
+    programs to run — while the compiled engine executes each signature
+    group as a single stacked tape.  This is the one evaluation entry point
+    shared by the serial scorer and the pool workers, which is what keeps
+    pooled results bitwise identical to serial ones.
     """
-    fleet = FleetEngine(evaluator, dedup=False, stacked=stacked)
+    fleet = FleetEngine(evaluator, dedup=False)
     for index, program in enumerate(programs):
         fleet.add(program, name=f"batch-{index}")
     results = fleet.evaluate()
@@ -127,48 +129,8 @@ class FleetMember:
     redundant: bool
 
 
-class _SingleUnit:
-    """Serving unit for a key whose signature matched no other member."""
-
-    def __init__(self, key: str, executor: IncrementalExecutor) -> None:
-        self.key = key
-        self.executor = executor
-
-    def warm_start(self, features, labels, day_indices=None,
-                   use_update=True) -> None:
-        self.executor.warm_start(
-            features, labels, day_indices=day_indices, use_update=use_update
-        )
-
-    def step_bar(self, features) -> dict[str, np.ndarray]:
-        return {self.key: self.executor.step(features)}
-
-    def reveal(self, labels) -> None:
-        self.executor.reveal(labels)
-
-    def suspend(self) -> dict[str, object]:
-        return {self.key: self.executor.suspend()}
-
-    def resume(self, tapes: dict[str, object], days_served: int = 0) -> None:
-        self.executor.resume(tapes[self.key], days_served=days_served)
-
-    def correct(self, day, features, labels) -> dict[str, CorrectionResult]:
-        return {self.key: self.executor.correct(day, features, labels)}
-
-    def replay_states(self) -> dict[str, dict]:
-        return {self.key: self.executor.replay_state()}
-
-    def restore_replay_states(self, payloads: dict[str, dict]) -> None:
-        payload = payloads.get(self.key)
-        if payload is not None:
-            self.executor.restore_replay_state(payload)
-
-    def views(self) -> dict[str, object]:
-        return {self.key: self.executor}
-
-
 class _StackedUnit:
-    """Serving unit for one signature group: P lanes, one stacked tape.
+    """Serving unit for one signature group: P lanes (P ≥ 1), one tape.
 
     Mirrors :class:`~repro.engine.incremental.IncrementalExecutor`'s
     step/reveal contract (including the pending-label guards) around a
@@ -374,9 +336,8 @@ class _StackedLane:
 
     Presents the :class:`~repro.engine.incremental.IncrementalExecutor`
     read surface (``is_warm`` / ``days_served`` / ``suspend``) for one
-    member of a stacked group, so fleet consumers that inspect
-    :attr:`FleetEngine.executors` see the same shape whether or not the
-    key's program was stacked.
+    member of a serving group, so fleet consumers that inspect
+    :attr:`FleetEngine.executors` see one shape per key.
     """
 
     def __init__(self, unit: _StackedUnit, lane: int) -> None:
@@ -396,7 +357,7 @@ class _StackedLane:
         return self._unit.days_served
 
     def suspend(self):
-        """This lane's :class:`~repro.compile.executor.TapeState`."""
+        """This lane's :class:`~repro.compile.stacked.TapeState`."""
         if self._unit._awaiting_label:
             raise StreamError("cannot suspend between step() and reveal(); "
                               "reveal the pending label first")
@@ -415,38 +376,24 @@ class FleetEngine:
         identical to per-program evaluation.
     engine:
         Backend selection for every member (defaults to the evaluator's).
+        Under the compiled engine every signature group of unique programs
+        runs as one :class:`~repro.compile.stacked.StackedAlpha` tape (a
+        lone program as a one-lane group); the interpreter runs program by
+        program and cannot serve online.
     dedup:
         Whether members are canonically fingerprinted and deduplicated.
         The scorer disables this: its cache layer already decides which
         candidates share an evaluation, and the pruning-disabled ablation
         must not dedup behind its back.
-    stacked:
-        Whether unique programs sharing a tape signature execute as one
-        stacked ``(P, ...)`` tape.  Defaults on for the compiled engine
-        (the interpreter has no tape to stack).  Stacking never changes a
-        bit of any result — it only changes how many NumPy calls produce
-        them — and unlike ``dedup`` it is safe under the scorer, since
-        every member keeps its own lane, parameters and score.
-    program_chunk:
-        Program-axis chunking for matrix-heavy stacked kernels, passed
-        through to :class:`~repro.compile.stacked.StackedAlpha`: ``None``
-        derives a cache-resident chunk automatically, ``0`` disables
-        chunking, a positive int forces that chunk size.  Bitwise-neutral
-        either way.
     """
 
     def __init__(self, evaluator, engine: str | None = None,
-                 dedup: bool = True, stacked: bool | None = None,
-                 program_chunk: int | None = None) -> None:
+                 dedup: bool = True) -> None:
         self.evaluator = evaluator
-        self.program_chunk = program_chunk
         self.engine_name = resolve_engine(
             engine if engine is not None else getattr(evaluator, "engine", None)
         )
         self.dedup = bool(dedup)
-        if stacked is None:
-            stacked = self.engine_name == "compiled"
-        self.stacked = bool(stacked) and self.engine_name == "compiled"
         self.members: list[FleetMember] = []
         self._by_name: dict[str, str] = {}
         #: name → the program registered under that name (deduplicated
@@ -457,7 +404,7 @@ class FleetEngine:
         self._programs: dict[str, AlphaProgram] = {}
         #: key → serving executor view (built lazily on warm_start/resume).
         self._executors: dict[str, object] = {}
-        #: Serving units: one per stacked signature group or unmatched key.
+        #: Serving units: one per signature group.
         self._units: list[object] = []
         self._ctx = None
         self._warmed = False
@@ -474,7 +421,6 @@ class FleetEngine:
         max_train_steps: int | None = None,
         engine: str | None = None,
         dedup: bool = True,
-        stacked: bool | None = None,
     ) -> "FleetEngine":
         """Build a fleet straight from a :class:`~repro.data.DataBackend`.
 
@@ -491,7 +437,7 @@ class FleetEngine:
         evaluator = AlphaEvaluator(
             taskset, seed=seed, max_train_steps=max_train_steps, engine=engine
         )
-        fleet = cls(evaluator, engine=engine, dedup=dedup, stacked=stacked)
+        fleet = cls(evaluator, engine=engine, dedup=dedup)
         for program in programs:
             fleet.add(program)
         return fleet
@@ -526,10 +472,9 @@ class FleetEngine:
     def executors(self) -> dict[str, object]:
         """key → serving executor view (one per unique program).
 
-        Unstacked keys map to their
-        :class:`~repro.engine.incremental.IncrementalExecutor`; keys served
-        through a stacked group map to a per-lane view with the same read
-        surface (``is_warm`` / ``days_served`` / ``suspend``).  Empty until
+        Each key maps to a per-lane view of its serving group with the
+        :class:`~repro.engine.incremental.IncrementalExecutor` read surface
+        (``is_warm`` / ``days_served`` / ``suspend``).  Empty until
         :meth:`warm_start` or :meth:`resume_tapes` builds the backends —
         reading this never triggers compilation as a side effect.
         """
@@ -539,11 +484,11 @@ class FleetEngine:
     def stack_groups(self) -> int:
         """Number of ≥2-member signature groups behind the unique programs.
 
-        Zero when stacking is off (or the fleet is empty); computed from
-        the registered programs, so it is valid before and after
+        Zero under the interpreter engine (or for an empty fleet); computed
+        from the registered programs, so it is valid before and after
         warm-start.
         """
-        if not self.stacked or not self._programs:
+        if self.engine_name != "compiled" or not self._programs:
             return 0
         if self._stack_group_count is None:
             groups = self._signature_groups()[1]
@@ -610,6 +555,9 @@ class FleetEngine:
             key: compile_program(program)
             for key, program in self._programs.items()
         }
+        if len(compiled) == 1:
+            # A lone program is its own group: no signature to compare.
+            return compiled, [list(compiled)]
         groups: dict[str, list[str]] = {}
         for key, artefact in compiled.items():
             groups.setdefault(stack_signature(artefact), []).append(key)
@@ -638,14 +586,14 @@ class FleetEngine:
         """Run the full protocol for every member; name → split → ``(D, K)``.
 
         One fresh shared context and one training-day subsample serve the
-        whole call; each *unique* program gets a fresh backend (repeatable,
-        independent of any serving state) and deduplicated names reference
-        the representative's prediction panels.  With stacking on, every
-        signature group of two or more unique programs executes as one
-        stacked tape and its ``(D, P, K)`` panels are scattered back to the
-        member keys — bitwise identical to the per-program path.
-        ``use_update`` and ``time_batched`` default to the paired
-        evaluator's settings.
+        whole call; each *unique* program executes on a fresh backend
+        (repeatable, independent of any serving state) and deduplicated
+        names reference the representative's prediction panels.  Under the
+        compiled engine every signature group executes as one stacked tape
+        and its ``(D, P, K)`` panels are scattered back to the member keys;
+        the interpreter runs program by program.  Both are bitwise
+        identical to per-program evaluation.  ``use_update`` and
+        ``time_batched`` default to the paired evaluator's settings.
 
         This protocol run loads ``m0``/``s0`` from the task set alone, so
         compiled tapes bind with its :func:`~repro.compile.data_bound` as
@@ -657,34 +605,30 @@ class FleetEngine:
         if time_batched is None:
             time_batched = getattr(evaluator, "time_batched", True)
         ctx = evaluator.make_context()
-        day_indices = evaluator.train_day_indices()
+        protocol = dict(
+            splits=splits,
+            day_indices=evaluator.train_day_indices(),
+            use_update=use_update,
+            time_batched=time_batched,
+        )
         by_key: dict[str, dict[str, np.ndarray]] = {}
-        singles = list(self._programs)
-        bound = data_bound(self.taskset) if self.engine_name == "compiled" \
-            else None
-        compiled: dict = {}
-        if self.stacked and len(self._programs) >= 2:
+        if self.engine_name != "compiled":
+            for key, program in self._programs.items():
+                backend = make_backend(
+                    program, ctx, engine=self.engine_name,
+                    address_space=evaluator.address_space,
+                )
+                by_key[key] = run_protocol(backend, self.taskset, **protocol)
+        else:
+            bound = data_bound(self.taskset)
             compiled, groups = self._signature_groups()
             self._record_stack_telemetry(groups)
-            singles = [key for group in groups if len(group) == 1
-                       for key in group]
             for group in groups:
-                if len(group) < 2:
-                    continue
                 backend = StackedAlpha(
-                    [compiled[key] for key in group], ctx,
-                    input_range=bound,
-                    program_chunk=self.program_chunk,
+                    [compiled[key] for key in group], ctx, input_range=bound,
                 )
-                panels = run_protocol(
-                    backend,
-                    self.taskset,
-                    splits=splits,
-                    day_indices=day_indices,
-                    use_update=use_update,
-                    time_batched=time_batched,
-                )
-                if TELEMETRY.enabled:
+                panels = run_protocol(backend, self.taskset, **protocol)
+                if TELEMETRY.enabled and len(group) >= 2:
                     TELEMETRY.counter(
                         "engine.fleet.stacked_kernel_calls"
                     ).inc(backend.kernel_calls)
@@ -693,26 +637,6 @@ class FleetEngine:
                         split: np.ascontiguousarray(panel[:, lane])
                         for split, panel in panels.items()
                     }
-        for key in singles:
-            if self.engine_name == "compiled":
-                # Singleton groups reuse the compile the signature pass
-                # already paid for.
-                program = (compiled[key] if key in compiled
-                           else compile_program(self._programs[key]))
-                backend = CompiledAlpha(program, ctx, input_range=bound)
-            else:
-                backend = make_backend(
-                    self._programs[key], ctx, engine=self.engine_name,
-                    address_space=evaluator.address_space,
-                )
-            by_key[key] = run_protocol(
-                backend,
-                self.taskset,
-                splits=splits,
-                day_indices=day_indices,
-                use_update=use_update,
-                time_batched=time_batched,
-            )
         return {member.name: by_key[member.key] for member in self.members}
 
     def evaluate(
@@ -740,40 +664,22 @@ class FleetEngine:
     # Online: stateful day-major serving (behind AlphaServer)
     # ------------------------------------------------------------------
     def _ensure_executors(self) -> None:
+        if self.engine_name != "compiled":
+            raise StreamError(
+                "an interpreter-engine fleet has no tape protocol to serve "
+                "online; serve it through the compiled engine"
+            )
         if len(self._executors) == len(self._programs):
             return
         if self._ctx is None:
             self._ctx = self.evaluator.make_context()
-        singles = list(self._programs)
-        single_backend = lambda key: make_backend(  # noqa: E731
-            self._programs[key], self._ctx, engine=self.engine_name,
-            address_space=self.evaluator.address_space,
-        )
-        if self.stacked and len(self._programs) >= 2:
-            compiled, groups = self._signature_groups()
-            self._record_stack_telemetry(groups)
-            singles = [key for group in groups if len(group) == 1
-                       for key in group]
-            # Reuse the signature pass's compiles for singleton serving
-            # units instead of recompiling through make_backend.
-            single_backend = lambda key: CompiledAlpha(  # noqa: E731
-                compiled[key], self._ctx
+        compiled, groups = self._signature_groups()
+        self._record_stack_telemetry(groups)
+        for group in groups:
+            unit = _StackedUnit(
+                group,
+                StackedAlpha([compiled[key] for key in group], self._ctx),
             )
-            for group in groups:
-                if len(group) < 2:
-                    continue
-                unit = _StackedUnit(
-                    group,
-                    StackedAlpha([compiled[key] for key in group], self._ctx,
-                                 program_chunk=self.program_chunk),
-                )
-                self._units.append(unit)
-                self._executors.update(unit.views())
-        for key in singles:
-            unit = _SingleUnit(key, IncrementalExecutor(
-                self._programs[key],
-                backend=single_backend(key),
-            ))
             self._units.append(unit)
             self._executors.update(unit.views())
 
@@ -781,7 +687,7 @@ class FleetEngine:
         if not TELEMETRY.enabled:
             return
         for unit in self._units:
-            if isinstance(unit, _StackedUnit):
+            if len(unit.keys) >= 2:
                 delta = unit.drain_kernel_calls()
                 if delta:
                     TELEMETRY.counter(
@@ -789,14 +695,15 @@ class FleetEngine:
                     ).inc(delta)
 
     def warm_start(self, use_update: bool | None = None) -> None:
-        """Set up and train every unique backend over the training split.
+        """Set up and train every serving group over the training split.
 
         Replays exactly the evaluator's training stage — same feature
         tensors, same ``max_train_steps`` day subsample, same label-reveal
         ordering (via the shared
-        :func:`repro.engine.protocol.training_pass`) — once per unique
-        backend; stacked groups replay it once per *group*, every lane
-        advancing in lock-step through the same day loop.
+        :func:`repro.engine.protocol.training_pass`) — once per signature
+        group, every lane advancing in lock-step through the
+        same day loop.  Raises :class:`~repro.errors.StreamError` under
+        the interpreter engine, which has no tape protocol to serve with.
         """
         if self._warmed:
             raise StreamError("fleet is already warm")
@@ -817,11 +724,11 @@ class FleetEngine:
         self._warmed = True
 
     def step_bar(self, features: np.ndarray) -> dict[str, np.ndarray]:
-        """Advance every unique backend one day; key → ``(K,)`` prediction.
+        """Advance every unique program one day; key → ``(K,)`` prediction.
 
-        Stacked groups advance as one ``(P, K, ...)`` kernel call per
-        instruction; the returned mapping is key-per-key identical to the
-        unstacked fleet's.
+        Each signature group advances as one ``(P, K, ...)`` kernel call
+        per instruction; every key's prediction is bitwise the one its
+        program would produce on its own.
         """
         if not self._warmed:
             raise StreamError("fleet must be warm-started (or resumed) "
@@ -833,7 +740,7 @@ class FleetEngine:
         return predictions
 
     def reveal(self, labels: np.ndarray) -> None:
-        """Reveal the last bar's realised labels to every unique backend."""
+        """Reveal the last bar's realised labels to every serving group."""
         for unit in self._units:
             unit.reveal(labels)
 
@@ -846,10 +753,10 @@ class FleetEngine:
         """Delta-replay a correction across the fleet; key → result.
 
         ``features``/``labels`` are the *corrected* full served history
-        (``(days_served, K, f, w)`` / ``(days_served, K)``).  Every unique
-        backend replays only its invalidated suffix — stacked groups once
-        per group — and is left bitwise-identical to a full warm-start
-        replay of the corrected history.
+        (``(days_served, K, f, w)`` / ``(days_served, K)``).  Every
+        signature group replays only its invalidated suffix, once per
+        group, and is left bitwise-identical to a full warm-start replay of
+        the corrected history.
         """
         if not self._warmed:
             raise StreamError("fleet must be warm-started (or resumed) "
@@ -863,10 +770,10 @@ class FleetEngine:
     def suspend_replay_states(self) -> dict[str, dict]:
         """key → persistable delta-replay payload (anchor + ring entries).
 
-        Lane states are solo-compatible
-        :class:`~repro.compile.executor.TapeState` objects, so payloads
-        restore into stacked and unstacked fleets alike (group rings keep
-        only days retained for every lane).
+        Lane states are per-program
+        :class:`~repro.compile.stacked.TapeState` objects, so payloads
+        restore into fleets grouped any other way (group rings keep only
+        days retained for every lane).
         """
         payloads: dict[str, dict] = {}
         for unit in self._units:
@@ -879,11 +786,11 @@ class FleetEngine:
             unit.restore_replay_states(payloads)
 
     def suspend_tapes(self) -> dict[str, object]:
-        """key → suspended tape state of every unique backend.
+        """key → suspended tape state of every unique program.
 
-        Stacked lanes emit the same :class:`~repro.compile.executor.TapeState`
-        a per-program executor would, so the snapshot resumes into stacked
-        and unstacked fleets alike.
+        Lanes emit per-program :class:`~repro.compile.stacked.TapeState`
+        objects, so the snapshot resumes into fleets grouped any other way
+        and into a single :class:`~repro.engine.backends.CompiledBackend`.
         """
         if not self._warmed:
             raise StreamError("cannot suspend a fleet that was never warmed")
@@ -894,7 +801,11 @@ class FleetEngine:
 
     def resume_tapes(self, tapes: dict[str, object],
                      days_served: int = 0) -> None:
-        """Restore :meth:`suspend_tapes` output into this (fresh) fleet."""
+        """Restore :meth:`suspend_tapes` output into this (fresh) fleet.
+
+        Raises :class:`~repro.errors.StreamError` under the interpreter
+        engine, which has no tape protocol.
+        """
         if self._warmed:
             raise StreamError("cannot resume into a fleet that already ran")
         self._ensure_executors()

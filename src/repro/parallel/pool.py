@@ -95,10 +95,6 @@ class PoolSpec:
     #: (see :data:`repro.engine.ENGINES`; bitwise identical across
     #: engines).
     engine: str = "compiled"
-    #: Whether signature groups execute as stacked tapes inside workers
-    #: (``None`` → on for the compiled engine).  Never changes a result
-    #: bit; exists so the parity suite can A/B the stacked dispatch.
-    stacked: bool | None = None
     #: Whether workers withdraw their attach-side resource-tracker
     #: registration (needed under non-``fork`` start methods, whose
     #: private trackers would unlink the parent's segment on worker exit).
@@ -138,7 +134,6 @@ class _WorkerState:
 
     evaluator: object
     engine: BacktestEngine | None
-    stacked: bool | None
     store: SharedPanelStore
 
     @classmethod
@@ -167,8 +162,7 @@ class _WorkerState:
         engine = None
         if spec.compute_valid_returns:
             engine = BacktestEngine(taskset, long_k=spec.long_k, short_k=spec.short_k)
-        return cls(evaluator=evaluator, engine=engine, stacked=spec.stacked,
-                   store=store)
+        return cls(evaluator=evaluator, engine=engine, store=store)
 
 
 _WORKER: _WorkerState | None = None
@@ -198,9 +192,7 @@ def _evaluate_batch(batch: _WorkBatch) -> list[PoolEvaluation]:
     # Imported lazily: repro.engine builds on repro.core submodules.
     from ..engine import evaluate_program_batch
 
-    results = evaluate_program_batch(
-        state.evaluator, batch.programs, stacked=state.stacked
-    )
+    results = evaluate_program_batch(state.evaluator, batch.programs)
     evaluations: list[PoolEvaluation] = []
     for result in results:
         valid_returns = None
@@ -283,10 +275,6 @@ class EvaluationPool:
         :data:`repro.engine.ENGINES`); bitwise identical across engines.
         The legacy ``compiled`` flag keeps working and maps onto the
         engine names.
-    stacked:
-        Whether workers execute signature groups as stacked tapes
-        (default: on under the compiled engine).  Never changes a result
-        bit.
     batch_size:
         Programs per worker dispatch.  Batching amortises the per-task
         overhead and widens the stacked tapes; results always come back in
@@ -315,7 +303,6 @@ class EvaluationPool:
         compute_valid_returns: bool = False,
         compiled: bool | None = None,
         engine: str | None = None,
-        stacked: bool | None = None,
         batch_size: int = 8,
         max_batch_retries: int = 2,
         start_method: str | None = None,
@@ -346,7 +333,6 @@ class EvaluationPool:
             short_k=short_k,
             compute_valid_returns=compute_valid_returns,
             engine=resolve_engine(engine, compiled),
-            stacked=stacked,
             untrack_on_attach=self._mp_context.get_start_method() != "fork",
         )
         self.num_workers = num_workers
@@ -403,13 +389,7 @@ class EvaluationPool:
         # Imported lazily: repro.engine builds on repro.core submodules.
         from ..engine import stack_partition
 
-        stacking = self.spec.stacked
-        if stacking is None:
-            stacking = self.spec.engine == "compiled"
-        if stacking:
-            groups = stack_partition(programs, engine=self.spec.engine)
-        else:
-            groups = [list(range(len(programs)))]
+        groups = stack_partition(programs, engine=self.spec.engine)
         chunk_size = min(
             self.batch_size,
             max(1, (len(programs) + self.num_workers - 1) // self.num_workers),

@@ -8,7 +8,7 @@ history, the incremental-evaluation-under-updates shape of serving systems.
 * :mod:`repro.stream.incremental` — :class:`IncrementalAlpha` advances one
   compiled alpha one day per ``step``, persisting its rolling SSA state
   through the suspend/resume tape protocol of
-  :mod:`repro.compile.executor`;
+  :mod:`repro.compile.stacked`;
 * :mod:`repro.stream.server`      — :class:`AlphaServer` registers the
   top-K mined programs and evaluates each new day's bar across all of them
   in one pass, with shared feature tensors and canonical-IR fingerprint

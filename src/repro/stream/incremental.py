@@ -7,7 +7,7 @@ through the single protocol implementation
 (:func:`repro.engine.protocol.training_pass`), ``step``/``reveal`` advance
 one inference day with the offline label-reveal ordering, and
 ``suspend``/``resume`` round-trip the rolling operand state through the
-tape protocol of :mod:`repro.compile.executor` so a server can be
+tape protocol of :mod:`repro.compile.stacked` so a server can be
 checkpointed mid-stream and continue bitwise identically.
 
 Bitwise parity with the batched offline path is the design contract, tested

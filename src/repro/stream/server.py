@@ -137,7 +137,7 @@ class CorrectionRecord:
 class ServerState:
     """Suspended state of a whole :class:`AlphaServer` fleet.
 
-    Contains one :class:`~repro.compile.executor.TapeState` per *unique*
+    Contains one :class:`~repro.compile.stacked.TapeState` per *unique*
     executor plus an echo of the registration table, so a resume under a
     different program set fails loudly instead of serving the wrong alpha.
     Since v2 it also carries the served-bar history, the correction log and

@@ -5,7 +5,7 @@ checkpoints (:func:`repro.parallel.checkpoint.atomic_pickle_save`): the
 state is pickled to a temporary file and ``os.replace``\\ d over the target,
 so a crash mid-write never corrupts a previous snapshot.  Both
 :class:`~repro.stream.server.ServerState` (a whole fleet) and a single
-:class:`~repro.compile.executor.TapeState` are plain data and round-trip
+:class:`~repro.compile.stacked.TapeState` are plain data and round-trip
 through here; structural validation — versions, seeds, registration tables
 — happens at ``resume`` time, not at load time, because only the resuming
 object knows what it expects.

@@ -4,13 +4,16 @@ The contract under test is the hard one the search relies on: for every
 program, ``AlphaEvaluator(compiled=True)`` produces predictions and fitness
 reports that are *bit-for-bit* identical to the reference interpreter loop
 (``compiled=False``) — including the fused batched inference path and the
-per-day fallback.
+per-day fallback.  A compiled program runs as a one-lane
+:class:`~repro.compile.StackedAlpha`, on its own
+(:class:`~repro.engine.CompiledBackend`) and inside a fleet (bound with the
+task set's input range); both are held to the interpreter.
 """
 
 import numpy as np
 import pytest
 
-from repro.compile import CompiledAlpha, compile_program
+from repro.compile import compile_program
 from repro.core import (
     AlphaEvaluator,
     AlphaProgram,
@@ -22,6 +25,9 @@ from repro.core import (
     PREDICTION,
     get_initialization,
 )
+from repro.engine import CompiledBackend, FleetEngine, InterpreterBackend
+
+SPLITS = ("train", "valid", "test")
 
 S2, S3, S4 = (Operand.scalar(i) for i in (2, 3, 4))
 
@@ -80,6 +86,34 @@ class TestParity:
             )
         # the fuzz must exercise both inference paths to mean anything
         assert fused > 0 and not_fused > 0
+
+    @pytest.mark.parametrize("time_batched", [False, True])
+    def test_one_lane_matches_interpreter_on_mixed_bag(
+        self, small_taskset, dims, time_batched
+    ):
+        """Initialisations and mutants, all three splits, through both the
+        per-program backend and a one-program fleet (which binds the task
+        set's input range), day loop and time-batched."""
+        mutator = Mutator(dims, seed=11)
+        bases = [get_initialization(code, dims, seed=11)
+                 for code in ("D", "NN", "R")]
+        bag = []
+        while len(bag) < 24:
+            program = bases[len(bag) % 3]
+            for _ in range(len(bag) % 5):
+                program = mutator.mutate(program)
+            bag.append(program)
+        interpreter = make_evaluator(small_taskset, False)
+        compiled = make_evaluator(small_taskset, True,
+                                  time_batched=time_batched)
+        for program in bag:
+            expected = interpreter.run(program, splits=SPLITS)
+            assert_bitwise_equal(expected,
+                                 compiled.run(program, splits=SPLITS))
+            fleet = FleetEngine(compiled, dedup=False)
+            fleet.add(program, name="solo")
+            assert fleet.stack_groups == 0
+            assert_bitwise_equal(expected, fleet.run(splits=SPLITS)["solo"])
 
     def test_reports_identical(self, small_taskset, dims):
         mutator = Mutator(dims, seed=23)
@@ -152,32 +186,31 @@ class TestFusedPath:
         )
 
     def test_fused_equals_per_day_execution(self, small_taskset, dims):
-        """The fused batch reproduces the day loop on the same executor."""
+        """The fused batch reproduces the interpreter's day loop."""
         from repro.core import neural_network_alpha
         program = neural_network_alpha(dims)
-        compiled = compile_program(program)
-        assert compiled.fused_inference
+        assert compile_program(program).fused_inference
 
         base = AlphaEvaluator(small_taskset, seed=0, max_train_steps=20)
-        ctx = base.make_context()
-        executor = CompiledAlpha(compiled, ctx)
+        executor = CompiledBackend(program, base.make_context())
         executor.run_setup()
         features = small_taskset.split_features("valid")
         fused = executor.run_inference_batch(features)
+        assert fused.shape == features.shape[:2]
 
-        executor2 = CompiledAlpha(compiled, base.make_context())
-        executor2.run_setup()
+        reference = InterpreterBackend(program, base.make_context())
+        reference.run_setup()
         looped = np.zeros_like(fused)
         for day in range(features.shape[0]):
-            executor2.set_input(features[day])
-            executor2.run_predict()
-            looped[day] = executor2.prediction
+            reference.set_input(features[day])
+            reference.run_predict()
+            looped[day] = reference.prediction
         assert fused.tobytes() == looped.tobytes()
 
     def test_fused_rejected_when_ineligible(self, small_taskset):
         program = self.label_reader()
         base = AlphaEvaluator(small_taskset, seed=0)
-        executor = CompiledAlpha(compile_program(program), base.make_context())
+        executor = CompiledBackend(program, base.make_context())
         with pytest.raises(ValueError):
             executor.run_inference_batch(small_taskset.split_features("valid"))
 
@@ -196,9 +229,8 @@ class TestStaticHoisting:
             ],
             update=[],
         )
-        compiled = compile_program(program)
         base = AlphaEvaluator(small_taskset, seed=0)
-        executor = CompiledAlpha(compiled, base.make_context())
+        executor = CompiledBackend(program, base.make_context())
         # the two constant instructions sit in the static prologue
         assert len(executor._static_tape) == 2
         assert len(executor._tapes["predict"]) == 2

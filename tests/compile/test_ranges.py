@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.compile import (
-    CompiledAlpha,
     StackedAlpha,
     analyze_ranges,
     compile_program,
@@ -27,7 +26,7 @@ from repro.core import AlphaEvaluator, get_initialization
 from repro.core.memory import INPUT_MATRIX, LABEL, PREDICTION, Operand
 from repro.core.ops import CLIP_VALUE, sample_params
 from repro.core.program import COMPONENTS, AlphaProgram, Operation
-from repro.engine import FleetEngine, IncrementalExecutor
+from repro.engine import CompiledBackend, FleetEngine, IncrementalExecutor
 from repro.errors import ExecutionError, ProgramError
 from repro.obs import TELEMETRY, telemetry_session
 
@@ -90,28 +89,34 @@ def huge_constant_program(dims):
 
 
 def assert_all_paths_match_interpreter(taskset, programs):
-    """Interpreter vs compiled day loop / fused vs stacked, bitwise."""
-    evaluator = AlphaEvaluator(taskset, seed=0, max_train_steps=40)
+    """Interpreter vs the compiled day loop and fused path, bitwise.
+
+    Each compiled path runs both through the fleet (signature groups and
+    one-lane groups, bound with the task set's input range) and program by
+    program (:class:`CompiledBackend`, no input range).
+    """
     interpreter = AlphaEvaluator(taskset, seed=0, max_train_steps=40,
                                  engine="interpreter")
     expected = {program.name: interpreter.run(program, splits=SPLITS)
                 for program in programs}
-    stack_groups = 0
-    for stacked in (False, True):
-        for time_batched in (False, True):
-            fleet = FleetEngine(evaluator, dedup=False, stacked=stacked)
-            for program in programs:
-                fleet.add(program)
-            stack_groups = max(stack_groups, fleet.stack_groups)
-            runs = fleet.run(splits=SPLITS, time_batched=time_batched)
-            for name, panels in expected.items():
-                for split in SPLITS:
-                    assert runs[name][split].tobytes() == \
-                        panels[split].tobytes(), (
-                            f"{name} diverged on {split} "
-                            f"(stacked={stacked}, time_batched={time_batched})"
-                        )
-    assert stack_groups >= 2  # the jitter families really stacked
+    for time_batched in (False, True):
+        evaluator = AlphaEvaluator(taskset, seed=0, max_train_steps=40,
+                                   time_batched=time_batched)
+        fleet = FleetEngine(evaluator, dedup=False)
+        for program in programs:
+            fleet.add(program)
+        assert fleet.stack_groups >= 2  # the jitter families really stack
+        runs = fleet.run(splits=SPLITS)
+        for program in programs:
+            solo = evaluator.run(program, splits=SPLITS)
+            for split in SPLITS:
+                expected_bytes = expected[program.name][split].tobytes()
+                for path, got in (("fleet", runs[program.name][split]),
+                                  ("backend", solo[split])):
+                    assert got.tobytes() == expected_bytes, (
+                        f"{program.name} diverged on {split} "
+                        f"({path}, time_batched={time_batched})"
+                    )
 
 
 def sanitize_counts(taskset, programs):
@@ -208,7 +213,7 @@ class TestAnalysis:
         ctx = evaluator.make_context()
         expected = analyze_ranges([compiled.ir], ctx).counts()
         with telemetry_session():
-            executor = CompiledAlpha(compiled, ctx)
+            executor = StackedAlpha([compiled], ctx)
             executor.run_setup()
             for day in range(3):
                 executor.set_input(evaluator.taskset.split_features("train")[day])
@@ -258,11 +263,11 @@ class TestResumeGuard:
     @pytest.fixture()
     def warm_state(self, evaluator, dims):
         compiled = compile_program(get_initialization("NN", dims, seed=3))
-        executor = CompiledAlpha(compiled, evaluator.make_context())
+        executor = StackedAlpha([compiled], evaluator.make_context())
         executor.run_setup()
         executor.set_input(evaluator.taskset.split_features("train")[0])
         executor.run_predict()
-        return compiled, executor.suspend()
+        return compiled, executor.suspend_member(0)
 
     def carried_operand(self, state):
         return next(name for name in state.operands
@@ -275,7 +280,8 @@ class TestResumeGuard:
         compiled, state = warm_state
         bad = corrupted(state, self.carried_operand(state), value)
         with pytest.raises(ExecutionError, match="outside"):
-            CompiledAlpha(compiled, evaluator.make_context()).resume(bad)
+            CompiledBackend(compiled.program,
+                            evaluator.make_context()).resume(bad)
 
     @pytest.mark.parametrize("value", [np.nan, 2 * CLIP_VALUE])
     def test_stacked_resume_refuses_impossible_operands(
@@ -293,16 +299,18 @@ class TestResumeGuard:
         compiled, state = warm_state
         for operand in ("m0", "s0", "s1"):
             odd = corrupted(state, operand, np.nan)
-            CompiledAlpha(compiled, evaluator.make_context()).resume(odd)
-            StackedAlpha([compiled], evaluator.make_context()).resume([odd])
+            CompiledBackend(compiled.program,
+                            evaluator.make_context()).resume(odd)
+            StackedAlpha([compiled, compiled],
+                         evaluator.make_context()).resume([odd, state])
 
     def test_bounded_binding_checks_raw_inputs(self, evaluator, warm_state):
         compiled, state = warm_state
         bound = data_bound(evaluator.taskset)
         outside = corrupted(state, "m0", bound[1] * 10)
         with pytest.raises(ExecutionError, match="outside"):
-            CompiledAlpha(compiled, evaluator.make_context(),
-                          input_range=bound).resume(outside)
+            StackedAlpha([compiled], evaluator.make_context(),
+                         input_range=bound).resume([outside])
 
 
 class TestStressParity:

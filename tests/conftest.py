@@ -41,6 +41,13 @@ def evaluator(small_taskset) -> AlphaEvaluator:
 
 
 @pytest.fixture()
+def interpreter(small_taskset) -> AlphaEvaluator:
+    """The reference-interpreter twin of ``evaluator``: the parity oracle."""
+    return AlphaEvaluator(small_taskset, seed=0, max_train_steps=40,
+                          engine="interpreter")
+
+
+@pytest.fixture()
 def mutator(dims) -> Mutator:
     """A seeded mutator over the small dimensions."""
     return Mutator(dims, seed=42)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AlphaEvaluator, get_initialization
+from repro.core import AlphaEvaluator, Dimensions, get_initialization
 from repro.engine import (
     ENGINES,
     CompiledBackend,
@@ -75,6 +75,40 @@ class TestStepEquivalence:
             assert reference.shape == (small_taskset.num_tasks,)
             for other in predictions[1:]:
                 assert other.tobytes() == reference.tobytes()
+
+    def test_compiled_backend_drops_the_lane_axis(
+        self, small_taskset, evaluator, program
+    ):
+        """A one-lane group presenting per-program shapes: ``(K,)``
+        predictions, ``(D, K)`` fused batches, one ``TapeState``."""
+        from repro.compile import StackedAlpha, TapeState
+        from repro.core import domain_expert_alpha
+
+        backend = make_backend(program, evaluator.make_context(), "compiled")
+        assert isinstance(backend, StackedAlpha)
+        assert backend.num_programs == 1
+        assert backend.compiled.program is program
+        backend.run_setup()
+        assert backend.prediction.shape == (small_taskset.num_tasks,)
+        state = backend.suspend()
+        assert isinstance(state, TapeState)
+        fresh = make_backend(program, evaluator.make_context(), "compiled")
+        fresh.resume(state)
+
+        static = domain_expert_alpha(Dimensions(small_taskset.num_features,
+                                                small_taskset.window))
+        fused = make_backend(static, evaluator.make_context(), "compiled")
+        reference = make_backend(static, evaluator.make_context(),
+                                 "interpreter")
+        fused.run_setup()
+        reference.run_setup()
+        features = small_taskset.split_features("valid")
+        batch = fused.run_inference_batch(features)
+        assert batch.shape == features.shape[:2]
+        for day in range(features.shape[0]):
+            reference.set_input(features[day])
+            reference.run_predict()
+            assert batch[day].tobytes() == reference.prediction.tobytes()
 
     def test_interpreter_matches_legacy_evaluator(self, small_taskset, program):
         legacy = AlphaEvaluator(

@@ -54,13 +54,15 @@ class TestMembership:
 
 
 class TestOfflineEvaluation:
-    def test_run_matches_per_program_evaluator_bitwise(self, evaluator, programs):
+    def test_run_matches_per_program_evaluator_bitwise(
+        self, evaluator, interpreter, programs
+    ):
         fleet = FleetEngine(evaluator)
         for program in programs:
             fleet.add(program)
         runs = fleet.run(splits=("valid", "test"))
         for program in programs:
-            expected = evaluator.run(program, splits=("valid", "test"))
+            expected = interpreter.run(program, splits=("valid", "test"))
             for split in ("valid", "test"):
                 assert runs[program.name][split].tobytes() == \
                     expected[split].tobytes()
@@ -96,17 +98,25 @@ class TestOfflineEvaluation:
         )
         fleet = FleetEngine(interpreter)
         fleet.add(programs[0])
-        fleet.warm_start()
+        # Online serving needs the tape protocol: an interpreter fleet
+        # refuses to warm-start or resume instead of failing at suspend.
         with pytest.raises(StreamError, match="no.*tape protocol"):
+            fleet.warm_start()
+        with pytest.raises(StreamError, match="no.*tape protocol"):
+            fleet.resume_tapes({})
+        with pytest.raises(StreamError, match="never warmed"):
             fleet.suspend_tapes()
+        assert not fleet.is_warm
 
-    def test_evaluate_matches_evaluator_evaluate(self, evaluator, programs):
+    def test_evaluate_matches_evaluator_evaluate(
+        self, evaluator, interpreter, programs
+    ):
         fleet = FleetEngine(evaluator)
         for program in programs:
             fleet.add(program)
         results = fleet.evaluate()
         for program in programs:
-            expected = evaluator.evaluate(program)
+            expected = interpreter.evaluate(program)
             result = results[program.name]
             assert result.fitness == expected.fitness
             assert result.is_valid == expected.is_valid
@@ -146,7 +156,7 @@ class TestServing:
         return fleet
 
     def test_step_bar_matches_offline_inference(
-        self, small_taskset, evaluator, programs
+        self, small_taskset, evaluator, interpreter, programs
     ):
         fleet = self.warm_fleet(evaluator, programs)
         features = small_taskset.split_features("valid")
@@ -157,7 +167,7 @@ class TestServing:
                 streamed[key].append(prediction)
             fleet.reveal(labels[day])
         for program in programs:
-            batch = evaluator.run(program, splits=("valid",))["valid"]
+            batch = interpreter.run(program, splits=("valid",))["valid"]
             key = fleet.key_of(program.name)
             assert np.asarray(streamed[key]).tobytes() == batch.tobytes()
 
@@ -178,15 +188,20 @@ class TestServing:
         with pytest.raises(StreamError, match="warm-started"):
             fleet.step_bar(small_taskset.split_features("valid")[0])
 
-    def test_suspend_resume_roundtrip(self, small_taskset, evaluator, programs):
+    def test_suspend_resume_roundtrip(
+        self, small_taskset, evaluator, interpreter, programs
+    ):
         features = small_taskset.split_features("valid")
         labels = small_taskset.split_labels("valid")
 
-        reference = self.warm_fleet(evaluator, programs)
-        expected = []
-        for day in range(10):
-            expected.append(reference.step_bar(features[day]))
-            reference.reveal(labels[day])
+        # Uninterrupted serving reproduces the offline inference panel.
+        reference = FleetEngine(evaluator)
+        panels = {}
+        for program in programs:
+            key = reference.add(program).key
+            panels[key] = interpreter.run(program, splits=("valid",))["valid"]
+        expected = [{key: panel[day] for key, panel in panels.items()}
+                    for day in range(10)]
 
         first = self.warm_fleet(
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=40), programs

@@ -1,10 +1,12 @@
 """Stacked fleet kernels: signature grouping, bitwise parity, tape interop.
 
 The stacked executor's contract is the repo-wide one — bitwise parity with
-per-program execution — plus two subsystem-specific guarantees: programs
-group strictly by :func:`~repro.compile.stacked.stack_signature` (structure
-shared, parameter values free), and a lane suspended from a stacked group
-resumes anywhere a solo tape would.
+the reference interpreter, the oracle every test here compares against —
+plus two subsystem-specific guarantees: programs group strictly by
+:func:`~repro.compile.stacked.stack_signature` (structure shared, parameter
+values free), and a lane suspended from a stacked group resumes into any
+other group holding the program, a one-lane
+:class:`~repro.engine.CompiledBackend` included, and back.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ from repro.core import AlphaEvaluator, get_initialization
 from repro.core.evolution import CandidateScorer
 from repro.core.ops import get_op, sample_params
 from repro.core.program import COMPONENTS, Operation
-from repro.engine import FleetEngine
+from repro.engine import CompiledBackend, FleetEngine, IncrementalExecutor
+from repro.engine.protocol import training_pass
 from repro.errors import ExecutionError
 from repro.obs import TELEMETRY, telemetry_session
 
@@ -69,6 +72,26 @@ def build_fleet(evaluator, programs, **kwargs):
     for program in programs:
         fleet.add(program)
     return fleet
+
+
+def interpreter_stream(interpreter, programs, features, labels):
+    """name → ``(D, K)`` day-by-day interpreter predictions (the oracle)."""
+    streams = {}
+    for program in programs:
+        executor = IncrementalExecutor(
+            program, interpreter.make_context(), engine="interpreter"
+        )
+        executor.warm_start(
+            interpreter.taskset.split_features("train"),
+            interpreter.taskset.split_labels("train"),
+            day_indices=interpreter.train_day_indices(),
+        )
+        days = []
+        for bar, label in zip(features, labels):
+            days.append(executor.step(bar))
+            executor.reveal(label)
+        streams[program.name] = np.asarray(days)
+    return streams
 
 
 class TestStackSignature:
@@ -128,24 +151,25 @@ class TestStackedAlphaValidation:
 
 class TestStackedParity:
     def test_groups_form_and_run_matches_evaluator_bitwise(
-        self, evaluator, generation
+        self, evaluator, interpreter, generation
     ):
         fleet = build_fleet(evaluator, generation)
         assert fleet.stack_groups >= 2  # the D and NN jitter families
         runs = fleet.run(splits=("valid", "test"))
         for program in generation:
-            expected = evaluator.run(program, splits=("valid", "test"))
+            expected = interpreter.run(program, splits=("valid", "test"))
             for split in ("valid", "test"):
                 assert runs[program.name][split].tobytes() == \
                     expected[split].tobytes()
 
     @pytest.mark.parametrize("jitter_seed", [5, 17, 29])
     def test_fuzzed_generations_match_unstacked_fleet(
-        self, evaluator, dims, mutator, jitter_seed
+        self, evaluator, interpreter, dims, mutator, jitter_seed
     ):
+        """The interpreter fleet runs program by program: no stacking."""
         programs = make_generation(dims, mutator, jitter_seed=jitter_seed)
-        stacked = build_fleet(evaluator, programs, stacked=True)
-        plain = build_fleet(evaluator, programs, stacked=False)
+        stacked = build_fleet(evaluator, programs)
+        plain = build_fleet(interpreter, programs)
         assert stacked.stack_groups >= 1 and plain.stack_groups == 0
         left = stacked.run(splits=("valid",))
         right = plain.run(splits=("valid",))
@@ -153,11 +177,13 @@ class TestStackedParity:
             assert left[program.name]["valid"].tobytes() == \
                 right[program.name]["valid"].tobytes()
 
-    def test_evaluate_matches_evaluator_evaluate(self, evaluator, generation):
+    def test_evaluate_matches_evaluator_evaluate(
+        self, evaluator, interpreter, generation
+    ):
         fleet = build_fleet(evaluator, generation)
         results = fleet.evaluate()
         for program in generation:
-            expected = evaluator.evaluate(program)
+            expected = interpreter.evaluate(program)
             result = results[program.name]
             assert result.fitness == expected.fitness
             assert result.is_valid == expected.is_valid
@@ -166,7 +192,7 @@ class TestStackedParity:
             )
 
     def test_stacked_serving_matches_offline_inference(
-        self, small_taskset, evaluator, generation
+        self, small_taskset, evaluator, interpreter, generation
     ):
         fleet = build_fleet(evaluator, generation)
         fleet.warm_start()
@@ -178,12 +204,12 @@ class TestStackedParity:
                 streamed[key].append(prediction)
             fleet.reveal(labels[day])
         for program in generation:
-            batch = evaluator.run(program, splits=("valid",))["valid"]
+            batch = interpreter.run(program, splits=("valid",))["valid"]
             key = fleet.key_of(program.name)
             assert np.asarray(streamed[key]).tobytes() == batch.tobytes()
 
     def test_nan_features_served_identically(
-        self, small_taskset, evaluator, generation
+        self, small_taskset, evaluator, interpreter, generation
     ):
         """NaN-bearing bars exercise the raw-input sanitise guard: entries
         reading the feature matrix must keep their NaN scan even where the
@@ -192,19 +218,18 @@ class TestStackedParity:
         features[:, 0, 0, 0] = np.nan
         features[:, -1, :, -1] = np.nan
         labels = small_taskset.split_labels("valid")[:4]
-        outputs = []
-        for stacked in (True, False):
-            fleet = build_fleet(evaluator, generation, stacked=stacked)
-            fleet.warm_start()
-            days = []
-            for day in range(features.shape[0]):
-                days.append(fleet.step_bar(features[day]))
-                fleet.reveal(labels[day])
-            outputs.append(days)
-        for left, right in zip(*outputs):
-            assert left.keys() == right.keys()
-            for key in left:
-                assert left[key].tobytes() == right[key].tobytes()
+        fleet = build_fleet(evaluator, generation)
+        fleet.warm_start()
+        served = {key: [] for key in fleet.executors}
+        for day in range(features.shape[0]):
+            for key, prediction in fleet.step_bar(features[day]).items():
+                served[key].append(prediction)
+            fleet.reveal(labels[day])
+        expected = interpreter_stream(interpreter, generation, features, labels)
+        for program in generation:
+            key = fleet.key_of(program.name)
+            assert np.asarray(served[key]).tobytes() == \
+                expected[program.name].tobytes()
 
 
 class TestStackedKernels:
@@ -229,82 +254,140 @@ class TestSuspendResume:
 
     @pytest.mark.parametrize("resume_stacked", [True, False])
     def test_roundtrip_across_stacking_modes(
-        self, small_taskset, evaluator, generation, resume_stacked
+        self, small_taskset, evaluator, interpreter, generation,
+        resume_stacked
     ):
         """A checkpoint cut from stacked buffers resumes bitwise into either
-        a stacked or a per-program fleet (and the reference never pauses)."""
-        features = small_taskset.split_features("valid")
-        labels = small_taskset.split_labels("valid")
+        a stacked fleet or per-program one-lane backends."""
+        features = small_taskset.split_features("valid")[:8]
+        labels = small_taskset.split_labels("valid")[:8]
+        expected = interpreter_stream(interpreter, generation, features, labels)
 
-        reference = build_fleet(evaluator, generation)
-        reference.warm_start()
-        expected = self.serve(reference, features, labels, 0, 8)
-
-        first = build_fleet(
-            AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
-            generation,
-        )
+        first = build_fleet(evaluator, generation)
         assert first.stack_groups >= 1
         first.warm_start()
         for day, stepped in enumerate(self.serve(first, features, labels, 0, 3)):
-            for key, prediction in stepped.items():
-                assert prediction.tobytes() == expected[day][key].tobytes()
+            for program in generation:
+                key = first.key_of(program.name)
+                assert stepped[key].tobytes() == \
+                    expected[program.name][day].tobytes()
         tapes = first.suspend_tapes()
 
-        resumed = build_fleet(
-            AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
-            generation, stacked=resume_stacked,
-        )
-        resumed.resume_tapes(tapes, days_served=3)
-        assert all(ex.days_served == 3 for ex in resumed.executors.values())
-        for day, stepped in zip(
-            range(3, 8), self.serve(resumed, features, labels, 3, 8)
-        ):
-            for key, prediction in stepped.items():
-                assert prediction.tobytes() == expected[day][key].tobytes()
+        if resume_stacked:
+            resumed = build_fleet(
+                AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
+                generation,
+            )
+            resumed.resume_tapes(tapes, days_served=3)
+            assert all(ex.days_served == 3
+                       for ex in resumed.executors.values())
+            served = self.serve(resumed, features, labels, 3, 8)
+            keyed = {program.name: [day[resumed.key_of(program.name)]
+                                    for day in served]
+                     for program in generation}
+        else:
+            keyed = {}
+            for program in generation:
+                executor = IncrementalExecutor(
+                    program, evaluator.make_context()
+                )
+                assert isinstance(executor.executor, CompiledBackend)
+                executor.resume(tapes[first.key_of(program.name)],
+                                days_served=3)
+                keyed[program.name] = []
+                for day in range(3, 8):
+                    keyed[program.name].append(executor.step(features[day]))
+                    executor.reveal(labels[day])
+        for program in generation:
+            assert np.asarray(keyed[program.name]).tobytes() == \
+                expected[program.name][3:8].tobytes()
 
     def test_unstacked_checkpoint_resumes_into_stacked_fleet(
-        self, small_taskset, evaluator, generation
+        self, small_taskset, evaluator, interpreter, generation
     ):
-        features = small_taskset.split_features("valid")
-        labels = small_taskset.split_labels("valid")
-
-        reference = build_fleet(evaluator, generation)
-        reference.warm_start()
-        expected = self.serve(reference, features, labels, 0, 6)
-
-        plain = build_fleet(
-            AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
-            generation, stacked=False,
-        )
-        plain.warm_start()
-        self.serve(plain, features, labels, 0, 2)
-        tapes = plain.suspend_tapes()
+        """Per-program one-lane tapes regroup into a stacked fleet."""
+        features = small_taskset.split_features("valid")[:6]
+        labels = small_taskset.split_labels("valid")[:6]
+        expected = interpreter_stream(interpreter, generation, features, labels)
 
         resumed = build_fleet(
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=40),
-            generation, stacked=True,
+            generation,
         )
         assert resumed.stack_groups >= 1
+        tapes = {}
+        for program in generation:
+            executor = IncrementalExecutor(program, evaluator.make_context())
+            executor.warm_start(
+                small_taskset.split_features("train"),
+                small_taskset.split_labels("train"),
+                day_indices=evaluator.train_day_indices(),
+            )
+            for day in range(2):
+                executor.step(features[day])
+                executor.reveal(labels[day])
+            tapes[resumed.key_of(program.name)] = executor.suspend()
         resumed.resume_tapes(tapes, days_served=2)
         for day, stepped in zip(
             range(2, 6), self.serve(resumed, features, labels, 2, 6)
         ):
-            for key, prediction in stepped.items():
-                assert prediction.tobytes() == expected[day][key].tobytes()
+            for program in generation:
+                key = resumed.key_of(program.name)
+                assert stepped[key].tobytes() == \
+                    expected[program.name][day].tobytes()
+
+    def test_lane_state_moves_between_group_and_backend(
+        self, small_taskset, dims, evaluator, interpreter
+    ):
+        """Executor level: lane 1 of a P-lane group resumes into a
+        :class:`CompiledBackend`, and the backend's state back into lane 1."""
+        base = get_initialization("NN", dims, seed=3)
+        programs = [base, jitter_params(base, dims, make_rng(9), "j1"),
+                    jitter_params(base, dims, make_rng(10), "j2")]
+        group = [compile_program(program) for program in programs]
+        features = small_taskset.split_features("train")[:6]
+        labels = small_taskset.split_labels("train")[:6]
+        expected = interpreter_stream(
+            interpreter, programs[1:2], features, labels
+        )["j1"]
+
+        def advance(backend, days):
+            out = []
+            for day in days:
+                backend.set_input(features[day])
+                backend.run_predict()
+                out.append(np.array(backend.prediction))
+                backend.set_label(labels[day])
+            return out
+
+        stacked = StackedAlpha(group, evaluator.make_context())
+        # Warm every lane the way IncrementalExecutor does, then serve 2 days.
+        stacked.run_setup()
+        training_pass(stacked, small_taskset.split_features("train"),
+                      small_taskset.split_labels("train"),
+                      day_indices=evaluator.train_day_indices())
+        served = [day[1] for day in advance(stacked, range(2))]
+        solo = CompiledBackend(programs[1], evaluator.make_context())
+        solo.resume(stacked.suspend_member(1))
+        served += advance(solo, range(2, 4))
+        regrouped = StackedAlpha(group, evaluator.make_context())
+        regrouped.resume([stacked.suspend_member(0), solo.suspend(),
+                          stacked.suspend_member(2)])
+        served += [day[1] for day in advance(regrouped, range(4, 6))]
+        assert np.asarray(served).tobytes() == expected.tobytes()
 
 
 class TestMiningPath:
     def test_score_batch_matches_per_program_evaluator(
-        self, evaluator, generation
+        self, evaluator, interpreter, generation
     ):
         """The scorer's internal fleet stacks transparently; its reports
-        must stay bitwise-equal to solo evaluation (the mining-path parity
-        the dedup/pruning cache already guarantees per program)."""
+        must stay bitwise-equal to the interpreter's per-program evaluation
+        (the mining-path parity the dedup/pruning cache relies on)."""
         scorer = CandidateScorer(evaluator)
         reports = scorer.score_batch(list(generation))
         for program, report in zip(generation, reports):
-            expected = evaluator.evaluate(program).report
+            expected = interpreter.evaluate(program).report
             assert report.fitness == expected.fitness
             assert report.is_valid == expected.is_valid
             same_ic = report.ic_valid == expected.ic_valid or (

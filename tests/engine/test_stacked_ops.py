@@ -7,14 +7,16 @@ Two satellite contracts of the stacked executor
   probe run **stacked** — one ``(P, …)`` kernel call — and stay bitwise
   identical to per-program execution in *every* run order of the group;
 * program-axis chunking of the matrix-heavy contractions (``matmul`` /
-  ``matvec`` / ``v_dot``) is a pure scheduling change: forced, disabled
-  and auto-derived chunk sizes all produce byte-identical results on both
-  the day-loop and the fused inference paths.
+  ``matvec`` / ``v_dot``) is a pure scheduling change: with the chunk
+  budget (``_MAX_CHUNK_ELEMENTS``) shrunk until lanes split, results stay
+  byte-identical to the interpreter on both the day-loop and the fused
+  inference paths, and the fused path still computes every day once.
 """
 
 import numpy as np
 import pytest
 
+import repro.compile.stacked as stacked_module
 from repro.compile import StackedAlpha, compile_program, stack_signature
 from repro.compile.stacked import (
     _PROGRAM_CHUNK_OPS,
@@ -32,7 +34,7 @@ from repro.core import (
     get_initialization,
 )
 from repro.core.ops import get_op, sample_params
-from repro.engine import FleetEngine
+from repro.engine import FleetEngine, InterpreterBackend
 
 SPLITS = ("valid", "test")
 
@@ -99,8 +101,35 @@ def build_fleet(evaluator, programs, **kwargs):
     return fleet
 
 
-def solo_runs(evaluator, programs):
-    return {p.name: evaluator.run(p, splits=SPLITS) for p in programs}
+def solo_runs(interpreter, programs):
+    return {p.name: interpreter.run(p, splits=SPLITS) for p in programs}
+
+
+def serve(fleet, features, labels):
+    """key → ``(D, K)`` predictions of a freshly warmed fleet."""
+    fleet.warm_start()
+    streamed = {}
+    for day in range(features.shape[0]):
+        for key, prediction in fleet.step_bar(features[day]).items():
+            streamed.setdefault(key, []).append(prediction)
+        fleet.reveal(labels[day])
+    return {key: np.asarray(days) for key, days in streamed.items()}
+
+
+def split_lanes(monkeypatch, ctx, lanes=2):
+    """Shrink the chunk budget until stacked contractions take ``lanes``."""
+    per_lane = ctx.num_tasks * ctx.num_features * ctx.window
+    monkeypatch.setattr(stacked_module, "_MAX_CHUNK_ELEMENTS",
+                        lanes * per_lane)
+
+
+class _DayLog(np.ndarray):
+    """A feature panel that records every day-axis slice taken from it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices.append(range(*key.indices(self.shape[0])))
+        return np.asarray(super().__getitem__(key))
 
 
 def assert_matches_solo(fleet_runs, solo, programs):
@@ -128,22 +157,22 @@ class TestTranscendentalStacking:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_stacked_matches_solo_bitwise_per_run_order(
-        self, evaluator, dims, reverse
+        self, evaluator, interpreter, dims, reverse
     ):
         programs = family(transcendental_alpha, dims)
-        solo = solo_runs(evaluator, programs)
+        solo = solo_runs(interpreter, programs)
         order = programs[::-1] if reverse else programs
-        fleet = build_fleet(evaluator, order, stacked=True)
+        fleet = build_fleet(evaluator, order)
         assert fleet.stack_groups >= 1
         assert_matches_solo(fleet.run(splits=SPLITS), solo, programs)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_stacked_serving_matches_solo_per_run_order(
-        self, small_taskset, evaluator, dims, reverse
+        self, small_taskset, evaluator, interpreter, dims, reverse
     ):
         programs = family(transcendental_alpha, dims)
         order = programs[::-1] if reverse else programs
-        fleet = build_fleet(evaluator, order, stacked=True)
+        fleet = build_fleet(evaluator, order)
         fleet.warm_start()
         features = small_taskset.split_features("valid")[:10]
         labels = small_taskset.split_labels("valid")[:10]
@@ -153,7 +182,7 @@ class TestTranscendentalStacking:
                 streamed[key].append(prediction)
             fleet.reveal(labels[day])
         for program in programs:
-            batch = evaluator.run(program, splits=("valid",))["valid"][:10]
+            batch = interpreter.run(program, splits=("valid",))["valid"][:10]
             key = fleet.key_of(program.name)
             assert np.asarray(streamed[key]).tobytes() == batch.tobytes()
 
@@ -180,50 +209,74 @@ class TestProgramChunking:
     def test_chunk_ops_cover_the_matrix_contractions(self):
         assert _PROGRAM_CHUNK_OPS == {"matmul", "matvec", "v_dot"}
 
-    def test_auto_chunk_derivation(self, evaluator, dims):
+    def test_auto_chunk_derivation(self, evaluator, dims, monkeypatch):
         group = [compile_program(p) for p in family(matmul_alpha, dims)]
-        auto = StackedAlpha(group, evaluator.make_context())
-        assert auto.program_chunk >= 1
-        disabled = StackedAlpha(group, evaluator.make_context(),
-                                program_chunk=0)
-        assert disabled.program_chunk == 0
-        forced = StackedAlpha(group, evaluator.make_context(),
-                              program_chunk=2)
-        assert forced.program_chunk == 2
+        ctx = evaluator.make_context()
+        per_lane = ctx.num_tasks * ctx.num_features * ctx.window
+        auto = StackedAlpha(group, ctx)
+        assert auto.lane_chunk == max(
+            1, stacked_module._MAX_CHUNK_ELEMENTS // per_lane
+        )
+        assert auto.lane_chunk >= len(group)  # small contexts never split
+        split_lanes(monkeypatch, ctx)
+        assert StackedAlpha(group, ctx).lane_chunk == 2
 
-    def test_forced_chunk_matches_unchunked_bitwise(self, evaluator, dims):
+    def test_forced_chunk_matches_unchunked_bitwise(
+        self, evaluator, interpreter, dims, monkeypatch
+    ):
         programs = self.chunk_family(dims)
-        solo = solo_runs(evaluator, programs)
-        chunked = build_fleet(evaluator, programs, stacked=True,
-                              program_chunk=2)
-        monolithic = build_fleet(evaluator, programs, stacked=True,
-                                 program_chunk=0)
-        assert chunked.stack_groups >= 2
-        left = chunked.run(splits=SPLITS)
-        right = monolithic.run(splits=SPLITS)
-        assert_matches_solo(left, solo, programs)
-        assert_matches_solo(right, solo, programs)
+        solo = solo_runs(interpreter, programs)
+        monolithic = build_fleet(evaluator, programs)
+        assert monolithic.stack_groups >= 2
+        assert_matches_solo(monolithic.run(splits=SPLITS), solo, programs)
+        split_lanes(monkeypatch, evaluator.make_context())
+        chunked = build_fleet(evaluator, programs)
+        assert_matches_solo(chunked.run(splits=SPLITS), solo, programs)
 
     def test_chunked_serving_matches_unchunked_bitwise(
-        self, small_taskset, evaluator, dims
+        self, small_taskset, evaluator, interpreter, dims, monkeypatch
     ):
         programs = self.chunk_family(dims)
         features = small_taskset.split_features("valid")[:8]
         labels = small_taskset.split_labels("valid")[:8]
-        streams = []
-        for chunk in (2, 0):
-            fleet = build_fleet(evaluator, programs, stacked=True,
-                                program_chunk=chunk)
-            fleet.warm_start()
-            streamed = {}
-            for day in range(features.shape[0]):
-                for key, prediction in fleet.step_bar(features[day]).items():
-                    streamed.setdefault(key, []).append(prediction)
-                fleet.reveal(labels[day])
-            streams.append({
-                key: np.asarray(days) for key, days in streamed.items()
-            })
-        chunked, monolithic = streams
+        monolithic = serve(build_fleet(evaluator, programs), features, labels)
+        split_lanes(monkeypatch, evaluator.make_context())
+        fleet = build_fleet(evaluator, programs)
+        chunked = serve(fleet, features, labels)
         assert chunked.keys() == monolithic.keys()
-        for key in chunked:
-            assert chunked[key].tobytes() == monolithic[key].tobytes()
+        for program in programs:
+            key = fleet.key_of(program.name)
+            batch = interpreter.run(program, splits=("valid",))["valid"][:8]
+            assert chunked[key].tobytes() == batch.tobytes()
+            assert monolithic[key].tobytes() == batch.tobytes()
+
+    def test_fused_lane_chunks_cover_each_day_once(
+        self, small_taskset, evaluator, dims, monkeypatch
+    ):
+        """Lane chunking inside the fused path must not disturb its day
+        chunks: every day is computed exactly once and matches the
+        interpreter bit for bit."""
+        programs = family(matmul_alpha, dims, count=4)
+        ctx = evaluator.make_context()
+        split_lanes(monkeypatch, ctx, lanes=3)
+        group = StackedAlpha([compile_program(p) for p in programs], ctx)
+        assert group.lane_chunk == 3  # lanes split 3 + 1 ...
+        per_day = 4 * ctx.num_tasks * ctx.num_features * ctx.window
+        assert stacked_module._MAX_CHUNK_ELEMENTS // per_day == 0
+        # ... while the day axis runs in one-day chunks.
+        features = small_taskset.split_features("valid")
+        logged = features.view(_DayLog)
+        logged.slices = []
+        group.run_setup()
+        fused = group.run_inference_batch(logged)
+
+        covered = [day for days in logged.slices for day in days]
+        assert covered == list(range(features.shape[0]))
+        for lane, program in enumerate(programs):
+            reference = InterpreterBackend(program, evaluator.make_context())
+            reference.run_setup()
+            for day in range(features.shape[0]):
+                reference.set_input(features[day])
+                reference.run_predict()
+                assert fused[day, lane].tobytes() == \
+                    reference.prediction.tobytes(), (program.name, day)

@@ -194,23 +194,20 @@ def _fuzz_batch(dims, seed: int, count: int = 8) -> list:
 
 
 class TestFuzzedPoolParity:
-    @pytest.mark.parametrize("engine,stacked", [
-        ("compiled", True),
-        ("compiled", False),
-        ("interpreter", None),
-    ])
+    @pytest.mark.parametrize("engine", ["compiled", "interpreter"])
     @pytest.mark.parametrize("seed", [11, 23])
     def test_pool_scorer_matches_serial_scorer(self, small_taskset, dims,
-                                               engine, stacked, seed):
+                                               engine, seed):
+        """Pooled reports on either engine equal the serial interpreter's."""
         batch = _fuzz_batch(dims, seed)
         serial = CandidateScorer(
             AlphaEvaluator(small_taskset, seed=0, max_train_steps=15,
-                           engine=engine)
+                           engine="interpreter")
         )
         expected = serial.score_batch(batch)
         with EvaluationPool(small_taskset, num_workers=2, evaluator_seed=0,
                             max_train_steps=15, engine=engine,
-                            stacked=stacked, batch_size=3) as pool:
+                            batch_size=3) as pool:
             pooled = CandidateScorer(
                 AlphaEvaluator(small_taskset, seed=0, max_train_steps=15,
                                engine=engine),

@@ -2,7 +2,7 @@
 
 The hard contract of :mod:`repro.stream`: fuzzed programs stepped one day at
 a time through :class:`IncrementalAlpha` must match the batched
-:class:`CompiledAlpha` output (via ``AlphaEvaluator.run``) bit for bit —
+compiled output (via ``AlphaEvaluator.run``) bit for bit —
 including across suspend/resume round-trips through serialized state files.
 """
 
