@@ -25,14 +25,20 @@ gate** across all four paths:
 * **static-predict time batching** — for programs whose whole ``Predict()``
   tape is day-loop invariant, the full train+inference evaluation with the
   engine's time-batched fast path on versus off (the fast path collapses
-  the training stage into one vectorised ``(T, K, ...)`` kernel call).
+  the training stage into one vectorised ``(T, K, ...)`` kernel call), with
+  a >= 1.5x gate.
+
+Every speedup is the median of ``--pairs`` (at least 7) interleaved
+baseline/candidate timing pairs, printed with its quartiles.  A gate passes
+only when the median clears its bound and the quartiles do not straddle
+it; straddling quartiles fail the run with "more pairs needed".
 
 Results are written to ``benchmarks/results/BENCH_engine.json`` (the source
 of truth, with a copy at the repository root — see ``benchmarks/README.md``).
 
 Run with::
 
-    python benchmarks/bench_engine.py [--programs N] [--stocks K] [--smoke]
+    python benchmarks/bench_engine.py [--programs N] [--stocks K] [--pairs N] [--smoke]
 
 ``--smoke`` shrinks the universe and program count but keeps the full
 four-way parity gate (including at least one multi-program stack group) —
@@ -52,7 +58,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from common import build_generation, build_programs, write_bench_json
+from common import (
+    MIN_PAIRS, build_generation, build_programs, paired_ratios, ratio_gate,
+    write_bench_json,
+)
 from repro.core import AlphaEvaluator, Dimensions
 from repro.data import MarketConfig, Split, SyntheticMarket, build_taskset
 from repro.engine import FleetEngine, run_protocol
@@ -109,79 +118,91 @@ def check_parity(taskset, programs) -> tuple[bool, int, int]:
     return parity, num_static, fleet.stack_groups
 
 
-def bench_fleet(taskset, programs, repeats: int = 3) -> dict:
-    """Fleet evaluation through the engine vs the per-program loop."""
-    per_program = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for program in programs:
-            # the pre-engine shape: one fresh evaluator per served program
-            make_evaluator(taskset).evaluate(program)
-        per_program.append(time.perf_counter() - start)
+def timed(run) -> float:
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
 
-    fleet_seconds = []
-    unique = 0
-    for _ in range(repeats):
+
+def bench_fleet(taskset, programs, pairs: int = MIN_PAIRS) -> dict:
+    """Fleet evaluation through the engine vs the per-program loop."""
+    unique = []
+
+    def loop() -> float:
+        # the pre-engine shape: one fresh evaluator per served program
+        return timed(lambda: [make_evaluator(taskset).evaluate(program)
+                              for program in programs])
+
+    def fleet_run() -> float:
         start = time.perf_counter()
         fleet = FleetEngine(make_evaluator(taskset))
         for program in programs:
             fleet.add(program)
         fleet.evaluate()
-        fleet_seconds.append(time.perf_counter() - start)
-        unique = fleet.num_unique
+        unique.append(fleet.num_unique)
+        return time.perf_counter() - start
 
-    loop_best = min(per_program)
-    fleet_best = min(fleet_seconds)
+    paired = paired_ratios(loop, fleet_run, pairs)
+    loop_seconds = paired["baseline_seconds"]
+    fleet_seconds = paired["candidate_seconds"]
     return {
         "num_programs": len(programs),
-        "unique_programs": unique,
-        "per_program_loop_seconds": round(loop_best, 4),
-        "fleet_engine_seconds": round(fleet_best, 4),
-        "programs_per_second_loop": round(len(programs) / loop_best, 2),
-        "programs_per_second_fleet": round(len(programs) / fleet_best, 2),
-        "speedup": round(loop_best / fleet_best, 2),
+        "unique_programs": unique[-1],
+        "per_program_loop_seconds": loop_seconds,
+        "fleet_engine_seconds": fleet_seconds,
+        "programs_per_second_loop": round(len(programs) / loop_seconds, 2),
+        "programs_per_second_fleet": round(len(programs) / fleet_seconds, 2),
+        "pairs": paired["pairs"],
+        "speedup": paired["speedup"],
+        "speedup_quartiles": paired["speedup_quartiles"],
+        "ratios": paired["ratios"],
     }
 
 
 def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),
-                          repeats: int = 2) -> dict:
+                          pairs: int = MIN_PAIRS) -> dict:
     """Fleet-size scaling of the stacked executor over generation snapshots.
 
     At each size P a fresh mining-generation fleet is built and two paths
-    are timed end to end: the per-program loop (a fresh evaluator per
-    member, so every program runs as its own one-lane tape) and the
-    ``FleetEngine`` (dedup + shared data pass + signature groups executing
-    as ``(P, ...)`` tapes).  The largest point is the headline.
+    are timed end to end in interleaved pairs: the per-program loop (a
+    fresh evaluator per member, so every program runs as its own one-lane
+    tape) and the ``FleetEngine`` (dedup + shared data pass + signature
+    groups executing as ``(P, ...)`` tapes).  The largest point is the
+    headline.
     """
     dims = Dimensions(taskset.num_features, taskset.window)
     curve = []
     for size in sizes:
         programs = build_generation(dims, size)
+        fleets = []
 
-        loop_best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for program in programs:
-                make_evaluator(taskset).evaluate(program)
-            loop_best = min(loop_best, time.perf_counter() - start)
+        def loop() -> float:
+            return timed(lambda: [make_evaluator(taskset).evaluate(program)
+                                  for program in programs])
 
-        stacked_best = float("inf")
-        for _ in range(repeats):
+        def stacked() -> float:
             fleet = FleetEngine(make_evaluator(taskset))
             for program in programs:
                 fleet.add(program)
-            start = time.perf_counter()
-            fleet.evaluate()
-            stacked_best = min(stacked_best, time.perf_counter() - start)
+            fleets.append(fleet)
+            return timed(fleet.evaluate)
+
+        paired = paired_ratios(loop, stacked, pairs)
+        loop_seconds = paired["baseline_seconds"]
+        stacked_seconds = paired["candidate_seconds"]
+        fleet = fleets[-1]
         curve.append({
             "num_programs": size,
             "unique_programs": fleet.num_unique,
             "stack_groups": fleet.stack_groups,
-            "per_program_loop_seconds": round(loop_best, 4),
-            "stacked_fleet_seconds": round(stacked_best, 4),
-            "programs_per_second_loop": round(size / loop_best, 2),
-            "programs_per_second_stacked": round(size / stacked_best, 2),
-            "stacked_speedup_vs_loop": round(loop_best / stacked_best, 2),
+            "per_program_loop_seconds": loop_seconds,
+            "stacked_fleet_seconds": stacked_seconds,
+            "programs_per_second_loop": round(size / loop_seconds, 2),
+            "programs_per_second_stacked": round(size / stacked_seconds, 2),
+            "pairs": paired["pairs"],
+            "stacked_speedup_vs_loop": paired["speedup"],
+            "speedup_quartiles": paired["speedup_quartiles"],
+            "ratios": paired["ratios"],
         })
     headline = curve[-1]
     return {
@@ -190,11 +211,14 @@ def bench_stacked_scaling(taskset, sizes=(8, 32, 128, 200),
         "unique_programs": headline["unique_programs"],
         "stack_groups": headline["stack_groups"],
         "programs_per_second_stacked": headline["programs_per_second_stacked"],
+        "pairs": headline["pairs"],
         "stacked_speedup_vs_loop": headline["stacked_speedup_vs_loop"],
+        "speedup_quartiles": headline["speedup_quartiles"],
+        "ratios": headline["ratios"],
     }
 
 
-def bench_static_predict(taskset, programs, repeats: int = 3) -> dict:
+def bench_static_predict(taskset, programs, pairs: int = MIN_PAIRS) -> dict:
     """Full evaluation of static-predict programs: day loop vs time batching."""
     evaluator = make_evaluator(taskset)
     static = [
@@ -205,32 +229,32 @@ def bench_static_predict(taskset, programs, repeats: int = 3) -> dict:
         return {"num_programs": 0}
 
     def run_all(time_batched: bool) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for program in static:
-                run_protocol(
-                    evaluator.make_backend(program),
-                    taskset,
-                    splits=SPLITS,
-                    day_indices=evaluator.train_day_indices(),
-                    time_batched=time_batched,
-                )
-            best = min(best, time.perf_counter() - start)
-        return best
+        return timed(lambda: [
+            run_protocol(
+                evaluator.make_backend(program),
+                taskset,
+                splits=SPLITS,
+                day_indices=evaluator.train_day_indices(),
+                time_batched=time_batched,
+            )
+            for program in static
+        ])
 
-    loop_seconds = run_all(time_batched=False)
-    batched_seconds = run_all(time_batched=True)
+    paired = paired_ratios(lambda: run_all(False), lambda: run_all(True),
+                           pairs)
     return {
         "num_programs": len(static),
-        "day_loop_seconds": round(loop_seconds, 4),
-        "time_batched_seconds": round(batched_seconds, 4),
-        "speedup": round(loop_seconds / batched_seconds, 1),
+        "day_loop_seconds": paired["baseline_seconds"],
+        "time_batched_seconds": paired["candidate_seconds"],
+        "pairs": paired["pairs"],
+        "speedup": paired["speedup"],
+        "speedup_quartiles": paired["speedup_quartiles"],
+        "ratios": paired["ratios"],
     }
 
 
 def run_benchmark(num_programs: int = 18, num_stocks: int = 40,
-                  smoke: bool = False) -> dict:
+                  smoke: bool = False, pairs: int = MIN_PAIRS) -> dict:
     taskset = build_taskset_for(num_stocks)
     dims = Dimensions(taskset.num_features, taskset.window)
     # max_mutations=6 over three cycling bases yields the duplicate rate a
@@ -247,12 +271,12 @@ def run_benchmark(num_programs: int = 18, num_stocks: int = 40,
     ]
 
     parity, num_static, parity_groups = check_parity(taskset, parity_programs)
-    fleet = bench_fleet(taskset, programs)
+    fleet = bench_fleet(taskset, programs, pairs)
     if smoke:
-        stacked = bench_stacked_scaling(taskset, sizes=(16,), repeats=1)
+        stacked = bench_stacked_scaling(taskset, sizes=(16,), pairs=pairs)
     else:
-        stacked = bench_stacked_scaling(taskset)
-    static = bench_static_predict(taskset, programs)
+        stacked = bench_stacked_scaling(taskset, pairs=pairs)
+    static = bench_static_predict(taskset, programs, pairs)
 
     return {
         "benchmark": "unified execution engine: fleet batching, stacked "
@@ -278,15 +302,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="number of programs in the benchmarked fleet")
     parser.add_argument("--stocks", type=int, default=40,
                         help="number of simulated stocks")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                        help="interleaved loop/fleet timing pairs behind "
+                             f"each speedup (at least {MIN_PAIRS})")
     parser.add_argument("--smoke", action="store_true",
                         help="small fleet/universe; used as the CI "
                              "engine-parity gate")
     args = parser.parse_args(argv)
 
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
     if args.smoke:
-        payload = run_benchmark(num_programs=8, num_stocks=30, smoke=True)
+        payload = run_benchmark(num_programs=8, num_stocks=30, smoke=True,
+                                pairs=args.pairs)
     else:
-        payload = run_benchmark(args.programs, args.stocks)
+        payload = run_benchmark(args.programs, args.stocks, pairs=args.pairs)
     print(json.dumps(payload, indent=2, sort_keys=True))
 
     if not args.smoke:
@@ -305,21 +335,32 @@ def main(argv: list[str] | None = None) -> int:
               "path", file=sys.stderr)
         return 1
     static = payload["static_predict_time_batching"]
-    if not args.smoke and static.get("speedup", 0.0) < 1.5:
-        print("ERROR: static-predict time batching is less than 1.5x faster "
-              f"than the day loop ({static.get('speedup')}x)", file=sys.stderr)
-        return 1
     stacked = payload["stacked_fleet"]
+    fleet = payload["fleet_evaluation"]
+    for name, median, summary in (
+        ("static-predict time batching", static.get("speedup"), static),
+        ("stacked fleet", stacked["stacked_speedup_vs_loop"], stacked),
+        ("fleet evaluation", fleet["speedup"], fleet),
+    ):
+        print(f"{name}: median {median}x, quartiles "
+              f"{summary.get('speedup_quartiles')} over "
+              f"{summary.get('pairs')} pairs")
     if not args.smoke:
+        failure = (ratio_gate(static, 1.5) if static.get("ratios")
+                   else "no static-predict program was timed")
+        if failure:
+            print("ERROR: static-predict time batching vs the day loop: "
+                  f"{failure}", file=sys.stderr)
+            return 1
         if stacked["unique_programs"] < 100:
             print("ERROR: stacked headline fleet has fewer than 100 unique "
                   f"programs post-dedup ({stacked['unique_programs']})",
                   file=sys.stderr)
             return 1
-        if stacked["stacked_speedup_vs_loop"] < 3.0:
-            print("ERROR: stacked fleet is less than 3x faster than the "
-                  f"per-program loop ({stacked['stacked_speedup_vs_loop']}x)",
-                  file=sys.stderr)
+        failure = ratio_gate(stacked, 3.0)
+        if failure:
+            print("ERROR: stacked fleet vs the per-program loop: "
+                  f"{failure}", file=sys.stderr)
             return 1
     if args.smoke:
         print("\nengine-parity smoke check passed "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -28,11 +29,65 @@ __all__ = [
     "bench_config",
     "build_generation",
     "build_programs",
+    "paired_ratios",
+    "ratio_gate",
     "report",
     "reports_identical",
     "telemetry_block",
     "write_bench_json",
 ]
+
+
+#: Fewest paired samples a speedup gate decides on.
+MIN_PAIRS = 7
+
+
+def paired_ratios(baseline, candidate, pairs: int = MIN_PAIRS) -> dict:
+    """Time two workloads in interleaved pairs; summarise baseline/candidate.
+
+    ``baseline`` and ``candidate`` each run one repeat and return the
+    seconds it took (so per-repeat setup can stay outside the timed
+    region).  The two alternate which runs first, so drift on a shared
+    host lands on both sides of the ratio.  Returns the per-pair ratios,
+    their quartiles and the median seconds of each side.
+    """
+    if pairs < MIN_PAIRS:
+        raise ValueError(f"a speedup needs at least {MIN_PAIRS} pairs")
+    base_seconds, cand_seconds = [], []
+    for index in range(pairs):
+        if index % 2:
+            cand_seconds.append(candidate())
+            base_seconds.append(baseline())
+        else:
+            base_seconds.append(baseline())
+            cand_seconds.append(candidate())
+    ratios = [base / cand for base, cand in zip(base_seconds, cand_seconds)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {
+        "pairs": pairs,
+        "ratios": ratios,
+        "speedup": round(median, 2),
+        "speedup_quartiles": [round(q1, 2), round(q3, 2)],
+        "baseline_seconds": round(statistics.median(base_seconds), 4),
+        "candidate_seconds": round(statistics.median(cand_seconds), 4),
+    }
+
+
+def ratio_gate(summary: dict, bound: float) -> str | None:
+    """``None`` if a :func:`paired_ratios` speedup clears ``bound``, else why not.
+
+    The gate decides on the median ratio, and only when the interquartile
+    range lies wholly on one side of the bound; quartiles that straddle it
+    cannot tell a pass from a fail, and that asks for more pairs, never a
+    pass.
+    """
+    q1, median, q3 = statistics.quantiles(summary["ratios"], n=4)
+    spread = f"quartiles {q1:.2f}x..{q3:.2f}x of {len(summary['ratios'])} pairs"
+    if q1 < bound <= q3:
+        return f"{spread} straddle the {bound}x bound: more pairs needed"
+    if median < bound:
+        return f"median {median:.2f}x ({spread}) is below the {bound}x bound"
+    return None
 
 
 def build_programs(dims: Dimensions, count: int, seed: int = 11,

@@ -101,6 +101,14 @@ def _render_update(payload: dict) -> list[Row]:
     )]
 
 
+def _pairs(summary: dict) -> str:
+    """``, median of N pairs (quartiles a–bx)`` for a paired speedup."""
+    if "speedup_quartiles" not in summary:
+        return ""
+    q1, q3 = summary["speedup_quartiles"]
+    return f", median of {summary['pairs']} pairs (quartiles {q1}–{q3}x)"
+
+
 def _render_engine(payload: dict) -> list[Row]:
     rows: list[Row] = []
     static = payload.get("static_predict_time_batching", {})
@@ -109,7 +117,7 @@ def _render_engine(payload: dict) -> list[Row]:
             "static-predict time batching vs per-day loop (full evaluation)",
             f"{static['speedup']}x",
             f"`bench_engine.py`, {static['num_programs']} static-predict "
-            "programs, 4-way bitwise parity",
+            f"programs{_pairs(static)}, 4-way bitwise parity",
         ))
     fleet = payload.get("fleet_evaluation", {})
     if fleet.get("num_programs"):
@@ -118,7 +126,8 @@ def _render_engine(payload: dict) -> list[Row]:
             f"{fleet['speedup']}x",
             f"`bench_engine.py`, {fleet['num_programs']} programs "
             f"({fleet['unique_programs']} unique after canonical dedup), "
-            f"{fleet['programs_per_second_fleet']} programs/s",
+            f"{fleet['programs_per_second_fleet']} programs/s"
+            f"{_pairs(fleet)}",
         ))
     stacked = payload.get("stacked_fleet", {})
     if stacked.get("num_programs"):
@@ -128,7 +137,8 @@ def _render_engine(payload: dict) -> list[Row]:
             f"`bench_engine.py`, {stacked['num_programs']} programs "
             f"({stacked['unique_programs']} unique, "
             f"{stacked['stack_groups']} stack groups), "
-            f"{stacked['programs_per_second_stacked']} programs/s",
+            f"{stacked['programs_per_second_stacked']} programs/s"
+            f"{_pairs(stacked)}",
         ))
     return rows
 

@@ -32,7 +32,8 @@ from .ir import IRComponent, IRInstruction, IRProgram, IRValue, lower_program
 from .lookback import LookbackInfo, analyze_lookback
 from .ranges import RangeInfo, analyze_ranges, data_bound
 from .stacked import (
-    TAPE_STATE_VERSION, StackedAlpha, TapeState, stack_signature, tape_key_for,
+    TAPE_STATE_VERSION, GroupSnapshot, StackedAlpha, TapeState,
+    stack_signature, tape_key_for,
 )
 from .passes import (
     DataflowInfo,
@@ -47,6 +48,7 @@ from .passes import (
 __all__ = [
     "CompiledProgram",
     "DataflowInfo",
+    "GroupSnapshot",
     "IRComponent",
     "IRInstruction",
     "IRProgram",

@@ -65,7 +65,11 @@ Suspend/resume slices cleanly in and out of the stacked buffers:
 :meth:`StackedAlpha.suspend_member` emits a per-program :class:`TapeState`
 (the member's own ``tape_key``, per-program operand shapes), so a lane
 suspended from any group resumes into any other group holding that program
-— a one-lane group included.
+— a one-lane group included.  Serving keeps its per-bar replay snapshots
+group-wide instead: :meth:`StackedAlpha.snapshot` copies the whole group
+once (only what serving rewrites, when given a base snapshot), and
+:meth:`StackedAlpha.materialize` turns one lane of it into the
+:class:`TapeState` that ``suspend_member`` would have returned at that bar.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ from .compiler import CompiledProgram
 from .ranges import analyze_ranges
 
 __all__ = [
+    "GroupSnapshot",
     "StackedAlpha",
     "TapeState",
     "TAPE_STATE_VERSION",
@@ -130,6 +135,32 @@ class TapeState:
     shape: tuple[int, int, int]
     #: Operand name → array snapshot of the loop-carried state.
     operands: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class GroupSnapshot:
+    """The loop-carried state of a whole :class:`StackedAlpha` at one point.
+
+    Taken by :meth:`StackedAlpha.snapshot`; one lane of it becomes a
+    per-program :class:`TapeState` through :meth:`StackedAlpha.materialize`.
+    Snapshots are never written after they are taken, so ring entries may
+    share arrays with the base snapshot they were taken against.
+    """
+
+    #: Operand → ``(P, ...)`` array of every operand except ``m0``.
+    operands: dict[Operand, np.ndarray]
+    #: ``m0``: the ``(K, f, w)`` bar every lane holds when ``shared_m0``,
+    #: else the ``(P, K, f, w)`` per-lane array.
+    m0: np.ndarray
+    shared_m0: bool
+
+    def copied_nbytes(self, base: "GroupSnapshot | None" = None) -> int:
+        """Bytes this snapshot holds that ``base`` does not already hold."""
+        shared = base.operands if base is not None else {}
+        return self.m0.nbytes + sum(
+            array.nbytes for operand, array in self.operands.items()
+            if array is not shared.get(operand)
+        )
 
 
 def check_resumed_operands(operands: dict[str, np.ndarray],
@@ -636,6 +667,27 @@ class StackedAlpha:
         self.tape_keys = tuple(
             tape_key_for(member.ir) for member in compiled_group
         )
+        # Serving (set_input, Predict(), set_label; never Update()) rewrites
+        # only m0, s0 and Predict()'s carried exports; snapshot() copies
+        # just those when it has a base to share the rest with.
+        rewritten = {LABEL} | {
+            operand for operand in predict.exports if operand in carried
+        }
+        self._snapshot_plan = tuple(
+            (operand, array, operand in rewritten)
+            for operand, array in self._state.items()
+            if operand != INPUT_MATRIX
+        )
+        #: Whether every lane holds the same ``m0``: true after set_input
+        #: (programs never write m0), false after a per-lane resume.
+        self._shared_m0 = True
+        #: The live state as a (view-only) snapshot: suspend_member's source.
+        self._live = GroupSnapshot(
+            operands={operand: array for operand, array, _ in
+                      self._snapshot_plan},
+            m0=self._state[INPUT_MATRIX],
+            shared_m0=False,
+        )
 
     # ------------------------------------------------------------------
     def _bind_entry(self, instr, inputs, output, member_params, sanitize):
@@ -690,6 +742,7 @@ class StackedAlpha:
     def set_input(self, features: np.ndarray) -> None:
         """Broadcast one day's shared ``(K, f, w)`` bar into every lane."""
         self._state[INPUT_MATRIX][...] = features
+        self._shared_m0 = True
 
     def set_label(self, labels: np.ndarray) -> None:
         """Broadcast one day's realised ``(K,)`` labels into every lane."""
@@ -782,16 +835,47 @@ class StackedAlpha:
     # ------------------------------------------------------------------
     # Suspend / resume: lanes slice in and out of the stacked buffers
     # ------------------------------------------------------------------
-    def suspend_member(self, lane: int) -> TapeState:
-        """Snapshot one lane as a per-program :class:`TapeState`.
+    def snapshot(self, base: GroupSnapshot | None = None) -> GroupSnapshot:
+        """Copy the whole group's loop-carried state at once.
 
-        The snapshot contains everything a later :meth:`resume` needs to
-        continue day-by-day execution bitwise identically to an
-        uninterrupted run: the lane's operand state arrays (the cross-day
-        memory) plus its own tape key and the binding identity.  The
+        Without ``base`` every operand is copied.  With ``base`` — an
+        earlier snapshot of this group taken since it last ran ``Setup()``
+        or ``Update()`` or resumed outside states — only what serving
+        rewrites is copied: ``s0``, the operands ``Predict()`` writes and
+        ``m0``; every other operand is ``base``'s own array, since serving
+        never runs ``Update()`` and leaves them as they were (a
+        :meth:`restore` of such a snapshot writes the same values back).
+        ``m0`` is copied once as the ``(K, f, w)`` bar :meth:`set_input`
+        left in every lane, or in full after a per-lane :meth:`resume`.
+        """
+        operands = {
+            operand: (array.copy() if base is None or rewritten
+                      else base.operands[operand])
+            for operand, array, rewritten in self._snapshot_plan
+        }
+        m0 = self._state[INPUT_MATRIX]
+        return GroupSnapshot(
+            operands=operands,
+            m0=(m0[0] if self._shared_m0 else m0).copy(),
+            shared_m0=self._shared_m0,
+        )
+
+    def materialize(self, lane: int,
+                    snapshot: GroupSnapshot | None = None) -> TapeState:
+        """Lane ``lane`` of ``snapshot`` (default: the live state) as a
+        per-program :class:`TapeState`.
+
+        The state holds private copies of the lane's operand arrays plus
+        its own tape key and the binding identity: everything a later
+        :meth:`resume` needs to continue day-by-day execution bitwise
+        identically.  Materialising a snapshot gives, byte for byte, what
+        :meth:`suspend_member` returned when the snapshot was taken.  The
         hoisted static prologue is *not* captured — it is a deterministic
         function of the bound context and is recomputed on resume.
         """
+        if snapshot is None:
+            snapshot = self._live
+        m0 = snapshot.m0 if snapshot.shared_m0 else snapshot.m0[lane]
         ctx = self.ctx
         return TapeState(
             version=TAPE_STATE_VERSION,
@@ -799,21 +883,42 @@ class StackedAlpha:
             base_seed=ctx.base_seed,
             shape=(ctx.num_tasks, ctx.num_features, ctx.window),
             operands={
-                operand.name: array[lane].copy()
-                for operand, array in self._state.items()
+                operand.name: (
+                    m0 if operand == INPUT_MATRIX
+                    else snapshot.operands[operand][lane]
+                ).copy()
+                for operand in self._state
             },
         )
 
-    def resume(self, states) -> None:
-        """Restore one :class:`TapeState` per lane into this fresh group.
+    def suspend_member(self, lane: int) -> TapeState:
+        """Snapshot one lane of the live state as a :class:`TapeState`."""
+        return self.materialize(lane)
 
-        Validates each snapshot against its lane (tape key, binding shape,
-        seed, operand set, operand values — see
-        :func:`check_resumed_operands`) before any lane is touched, re-runs
-        the static prologue, then writes every lane's operand state; the
-        next ``run_predict`` / ``run_update`` continues exactly where the
-        suspended executor stopped.
-        """
+    def restore(self, snapshot: GroupSnapshot) -> None:
+        """Roll the group back to ``snapshot``, through :meth:`resume`."""
+        StackedAlpha.resume(self, [
+            self.materialize(lane, snapshot)
+            for lane in range(self.num_programs)
+        ])
+        self._shared_m0 = snapshot.shared_m0
+
+    def snapshot_of(self, states) -> GroupSnapshot:
+        """Stack one validated :class:`TapeState` per lane into a snapshot."""
+        states = self._checked_states(states)
+        m0 = INPUT_MATRIX.name
+        return GroupSnapshot(
+            operands={
+                operand: np.stack([state.operands[operand.name]
+                                   for state in states])
+                for operand, _, _ in self._snapshot_plan
+            },
+            m0=np.stack([state.operands[m0] for state in states]),
+            shared_m0=False,
+        )
+
+    def _checked_states(self, states) -> list[TapeState]:
+        """``states`` as a list, after validating each against its lane."""
         states = list(states)
         if len(states) != self.num_programs:
             raise ExecutionError(
@@ -853,11 +958,25 @@ class StackedAlpha:
                     f"unexpected {sorted(snapshot - expected)})"
                 )
             check_resumed_operands(state.operands, self.input_range)
+        return states
+
+    def resume(self, states) -> None:
+        """Restore one :class:`TapeState` per lane into this fresh group.
+
+        Validates each snapshot against its lane (tape key, binding shape,
+        seed, operand set, operand values — see
+        :func:`check_resumed_operands`) before any lane is touched, re-runs
+        the static prologue, then writes every lane's operand state; the
+        next ``run_predict`` / ``run_update`` continues exactly where the
+        suspended executor stopped.
+        """
+        states = self._checked_states(states)
         self._run_tape(self._static_tape)
         for operand, array in self._state.items():
             name = operand.name
             for lane, state in enumerate(states):
                 array[lane] = state.operands[name]
+        self._shared_m0 = False
 
     # ------------------------------------------------------------------
     def run_inference_batch(self, features: np.ndarray) -> np.ndarray:

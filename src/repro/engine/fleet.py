@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compile import (
-    StackedAlpha, compile_program, data_bound, stack_signature,
+    GroupSnapshot, StackedAlpha, compile_program, data_bound, stack_signature,
 )
 from ..core.cache import fingerprint
 from ..core.program import AlphaProgram
@@ -60,7 +60,8 @@ from ..obs import TELEMETRY
 from .backends import make_backend, resolve_engine
 from .protocol import run_protocol, training_pass
 from .replay import (
-    CorrectionResult, SnapshotRing, replay_correction, snapshot_depth_for,
+    CorrectionResult, SnapshotRing, replay_correction, ring_snapshot,
+    snapshot_depth_for,
 )
 
 __all__ = [
@@ -147,23 +148,31 @@ class _StackedUnit:
         self._reported_kernel_calls = 0
         # Delta-replay state.  Signature groups share opcode sequence and
         # SSA wiring, so every lane has the template's lookback structure;
-        # ring entries hold the whole group's per-lane tape states at once.
+        # ring entries are group snapshots of all lanes at once, sharing
+        # the operands serving never writes with ``_base``, the snapshot
+        # taken when the group was warmed or resumed.
         self._lookback = backend.group[0].lookback
         self._ring: SnapshotRing | None = None
-        self._anchor: tuple[int, dict[str, object]] | None = None
+        self._anchor: tuple[int, GroupSnapshot] | None = None
+        self._base: GroupSnapshot | None = None
 
     @property
     def max_lookback(self) -> int | None:
         return None if self._lookback is None else self._lookback.max_lookback
 
-    def _suspend_states(self) -> dict[str, object]:
+    def _materialize(self, snapshot=None) -> dict[str, object]:
+        """key → its lane of ``snapshot`` (default: the live state)."""
         return {
-            key: self.backend.suspend_member(lane)
+            key: self.backend.materialize(lane, snapshot)
             for lane, key in enumerate(self.keys)
         }
 
-    def _restore_states(self, states: dict[str, object]) -> None:
-        self.backend.resume([states[key] for key in self.keys])
+    def _take_snapshot(self) -> GroupSnapshot:
+        return ring_snapshot(self.backend, self._base)
+
+    def _set_anchor(self) -> None:
+        self._base = self.backend.snapshot()
+        self._anchor = (self.days_served, self._base)
 
     def _ensure_ring(self) -> SnapshotRing:
         if self._ring is None:
@@ -187,7 +196,7 @@ class _StackedUnit:
             day_indices=day_indices, use_update=use_update,
         )
         self._warmed = True
-        self._anchor = (0, self._suspend_states())
+        self._set_anchor()
 
     def step_bar(self, features) -> dict[str, np.ndarray]:
         if self._awaiting_label:
@@ -210,7 +219,7 @@ class _StackedUnit:
                               "call step() first")
         self.backend.set_label(labels)
         self._awaiting_label = False
-        self._ensure_ring().push(self.days_served, self._suspend_states())
+        self._ensure_ring().push(self.days_served, self._take_snapshot())
 
     def correct(self, day, features, labels) -> dict[str, CorrectionResult]:
         """Delta-replay a correction once for the whole group.
@@ -231,8 +240,8 @@ class _StackedUnit:
             max_lookback=self.max_lookback,
             ring=self._ensure_ring(),
             anchor=self._anchor,
-            take_snapshot=self._suspend_states,
-            restore_snapshot=self._restore_states,
+            take_snapshot=self._take_snapshot,
+            restore_snapshot=self.backend.restore,
             what=f"stacked group of {len(self.keys)}",
         )
         return {
@@ -250,19 +259,19 @@ class _StackedUnit:
 
     def replay_states(self) -> dict[str, dict]:
         """Per-key delta-replay payloads (solo-compatible tape states)."""
-        entries = self._ring.entries() if self._ring is not None else ()
-        payloads: dict[str, dict] = {}
-        for key in self.keys:
-            anchor = None
-            if self._anchor is not None:
-                anchor = (self._anchor[0], self._anchor[1][key])
-            payloads[key] = {
-                "anchor": anchor,
-                "entries": tuple(
-                    (day, states[key]) for day, states in entries
-                ),
+        ring = self._ring.entries() if self._ring is not None else ()
+        entries = [(day, self._materialize(snapshot)) for day, snapshot in ring]
+        anchor = None
+        if self._anchor is not None:
+            day, snapshot = self._anchor
+            anchor = (day, self._materialize(snapshot))
+        return {
+            key: {
+                "anchor": anchor and (anchor[0], anchor[1][key]),
+                "entries": tuple((day, states[key]) for day, states in entries),
             }
-        return payloads
+            for key in self.keys
+        }
 
     def restore_replay_states(self, payloads: dict[str, dict]) -> None:
         """Regroup per-key payloads into group-wide ring entries.
@@ -279,15 +288,15 @@ class _StackedUnit:
             if len(days) == 1:
                 self._anchor = (
                     days.pop(),
-                    {key: anchor[1]
-                     for key, anchor in zip(self.keys, anchors)},
+                    self.backend.snapshot_of(anchor[1] for anchor in anchors),
                 )
         by_day: dict[int, dict[str, object]] = {}
         for key, payload in zip(self.keys, mine):
             for day, state in payload.get("entries") or ():
                 by_day.setdefault(int(day), {})[key] = state
         complete = [
-            (day, states) for day, states in sorted(by_day.items())
+            (day, self.backend.snapshot_of(states[key] for key in self.keys))
+            for day, states in sorted(by_day.items())
             if len(states) == len(self.keys)
         ]
         if complete:
@@ -299,10 +308,7 @@ class _StackedUnit:
         if self._awaiting_label:
             raise StreamError("cannot suspend between step() and reveal(); "
                               "reveal the pending label first")
-        return {
-            key: self.backend.suspend_member(lane)
-            for lane, key in enumerate(self.keys)
-        }
+        return self._materialize()
 
     def resume(self, tapes: dict[str, object], days_served: int = 0) -> None:
         if self._warmed:
@@ -311,11 +317,9 @@ class _StackedUnit:
         self.backend.resume([tapes[key] for key in self.keys])
         self.days_served = int(days_served)
         self._warmed = True
-        # The resumed per-lane states form a clean group snapshot entering
-        # this day (restore_replay_states may still supply the day-0 one).
-        self._anchor = (
-            self.days_served, {key: tapes[key] for key in self.keys}
-        )
+        # The resumed lanes form a clean group snapshot entering this day
+        # (restore_replay_states may still supply the day-0 one).
+        self._set_anchor()
 
     def drain_kernel_calls(self) -> int:
         """Batched kernel calls issued since the last drain (telemetry)."""
@@ -361,7 +365,7 @@ class _StackedLane:
         if self._unit._awaiting_label:
             raise StreamError("cannot suspend between step() and reveal(); "
                               "reveal the pending label first")
-        return self._unit.backend.suspend_member(self._lane)
+        return self._unit.backend.materialize(self._lane)
 
 
 class FleetEngine:

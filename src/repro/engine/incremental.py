@@ -21,8 +21,10 @@ backend, whose tape protocol provides ``suspend``/``resume``):
   through the backend's tape protocol, so serving can be checkpointed
   mid-stream and continue bitwise identically;
 * :meth:`correct` delta-replays a point correction to an already-served
-  bar: a bounded ring of per-day snapshots (depth from the compile-time
-  lookback analysis) plus the permanent warm-start anchor let a correction
+  bar: a bounded ring of per-day group snapshots (depth from the
+  compile-time lookback analysis; see
+  :meth:`~repro.compile.stacked.StackedAlpha.snapshot`) plus the permanent
+  warm-start anchor let a correction
   at day ``t`` replay only the invalidated suffix instead of the whole
   history — bitwise-identical to a full warm-start replay
   (:mod:`repro.engine.replay`).
@@ -41,7 +43,8 @@ from ..errors import StreamError
 from .backends import ExecutionEngine, make_backend
 from .protocol import training_pass
 from .replay import (
-    CorrectionResult, SnapshotRing, replay_correction, snapshot_depth_for,
+    CorrectionResult, SnapshotRing, replay_correction, ring_snapshot,
+    snapshot_depth_for,
 )
 
 __all__ = ["IncrementalExecutor"]
@@ -92,15 +95,18 @@ class IncrementalExecutor:
         self.days_served = 0
         self._warmed = False
         self._awaiting_label = False
-        #: Delta-replay state: a bounded ring of per-day tape snapshots plus
-        #: the permanent warm/resume anchor.  Only backends with a tape
-        #: protocol can snapshot; the interpreter serves corrections through
-        #: the bounded-lookback spin-up path alone.
+        #: Delta-replay state: a bounded ring of per-day group snapshots
+        #: plus the permanent warm/resume anchor; ring entries share the
+        #: operands serving never writes with ``_base``, the snapshot taken
+        #: at warm start or resume.  Only the compiled backend (a one-lane
+        #: StackedAlpha) can snapshot; the interpreter serves corrections
+        #: through the bounded-lookback spin-up path alone.
         self._can_snapshot = (
-            getattr(self.executor, "suspend", None) is not None
+            getattr(self.executor, "snapshot", None) is not None
         )
         self._ring: SnapshotRing | None = None
         self._anchor: tuple[int, object] | None = None
+        self._base = None
         self._lookback_cache = None
 
     # ------------------------------------------------------------------
@@ -132,27 +138,44 @@ class IncrementalExecutor:
             self._ring = SnapshotRing(snapshot_depth_for(self.max_lookback))
         return self._ring
 
-    def _record_snapshot(self, day: int) -> None:
-        ring = self._ensure_ring()
-        if ring is not None:
-            ring.push(day, self.executor.suspend())
+    def _take_snapshot(self):
+        return ring_snapshot(self.executor, self._base)
+
+    def _set_anchor(self) -> None:
+        if self._can_snapshot:
+            self._base = self.executor.snapshot()
+            self._anchor = (self.days_served, self._base)
 
     def replay_state(self) -> dict:
-        """The persistable delta-replay state (anchor + ring entries)."""
+        """The persistable delta-replay state (anchor + ring entries).
+
+        Snapshots leave as per-program
+        :class:`~repro.compile.stacked.TapeState` objects.
+        """
+        materialize = self.executor.materialize if self._can_snapshot else None
+        entries = self._ring.entries() if self._ring is not None else ()
         return {
-            "anchor": self._anchor,
-            "entries": self._ring.entries() if self._ring is not None else (),
+            "anchor": None if self._anchor is None else (
+                self._anchor[0], materialize(0, self._anchor[1])
+            ),
+            "entries": tuple(
+                (day, materialize(0, snapshot)) for day, snapshot in entries
+            ),
         }
 
     def restore_replay_state(self, payload: dict) -> None:
         """Restore :meth:`replay_state` output (after :meth:`resume`)."""
+        if not self._can_snapshot:
+            return
+        snapshot_of = self.executor.snapshot_of
         anchor = payload.get("anchor")
         if anchor is not None:
-            self._anchor = (int(anchor[0]), anchor[1])
+            self._anchor = (int(anchor[0]), snapshot_of([anchor[1]]))
         entries = payload.get("entries") or ()
         if entries:
             self._ring = SnapshotRing(
-                snapshot_depth_for(self.max_lookback), entries
+                snapshot_depth_for(self.max_lookback),
+                [(day, snapshot_of([state])) for day, state in entries],
             )
 
     # ------------------------------------------------------------------
@@ -189,8 +212,7 @@ class IncrementalExecutor:
             day_indices=day_indices, use_update=use_update,
         )
         self._warmed = True
-        if self._can_snapshot:
-            self._anchor = (0, self.executor.suspend())
+        self._set_anchor()
 
     # ------------------------------------------------------------------
     def step(self, features: np.ndarray) -> np.ndarray:
@@ -227,7 +249,9 @@ class IncrementalExecutor:
                               "call step() first")
         self.executor.set_label(labels)
         self._awaiting_label = False
-        self._record_snapshot(self.days_served)
+        ring = self._ensure_ring()
+        if ring is not None:
+            ring.push(self.days_served, self._take_snapshot())
 
     # ------------------------------------------------------------------
     def correct(
@@ -259,9 +283,9 @@ class IncrementalExecutor:
             max_lookback=self.max_lookback,
             ring=self._ensure_ring(),
             anchor=self._anchor,
-            take_snapshot=(self.executor.suspend if self._can_snapshot
+            take_snapshot=(self._take_snapshot if self._can_snapshot
                            else None),
-            restore_snapshot=(self.executor.resume if self._can_snapshot
+            restore_snapshot=(self.executor.restore if self._can_snapshot
                               else None),
             what=self.program.name,
         )
@@ -295,4 +319,4 @@ class IncrementalExecutor:
         # The resumed state is a clean snapshot entering this day; retain it
         # so corrections at or after the resume point need no warm anchor.
         # (restore_replay_state can still supply the original day-0 anchor.)
-        self._anchor = (self.days_served, state)
+        self._set_anchor()

@@ -8,10 +8,18 @@ exists for.  The static lookback analysis
 can actually invalidate, and this module turns the bound into a replay
 plan:
 
-* :class:`SnapshotRing` — a bounded ring of per-day loop-carried snapshots
-  (the backend's suspend/resume tape states), pushed after every reveal.
-  A snapshot taken at day ``d`` is *clean* for a correction at day
-  ``t >= d``: the correction only perturbs state from day ``t`` on.
+* :class:`SnapshotRing` — a bounded ring of per-day loop-carried snapshots,
+  one :class:`~repro.compile.stacked.GroupSnapshot` per serving unit pushed
+  after every reveal (:func:`ring_snapshot`).  An entry copies only what
+  serving rewrites — ``s0``, the operands ``Predict()`` writes, and ``m0``
+  once for the whole group — and shares every other operand with the
+  warm/resume anchor, since serving never runs ``Update()``.  Per-lane
+  :class:`~repro.compile.stacked.TapeState` objects are built from entries
+  (``StackedAlpha.materialize``) only where state leaves the unit: its
+  ``suspend``, its persisted replay payloads and a restore, which goes
+  through ``StackedAlpha.resume``.  A snapshot taken at day ``d`` is
+  *clean* for a correction at day ``t >= d``: the correction only perturbs
+  state from day ``t`` on.
 * :func:`replay_correction` — pick the cheapest exact restart point and
   replay only the suffix.  Two plans compete:
 
@@ -44,12 +52,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import StreamError
+from ..obs import TELEMETRY
 
 __all__ = [
     "DEFAULT_UNBOUNDED_DEPTH",
     "CorrectionResult",
     "SnapshotRing",
     "replay_correction",
+    "ring_snapshot",
     "snapshot_depth_for",
 ]
 
@@ -69,6 +79,20 @@ def snapshot_depth_for(max_lookback: int | None) -> int:
     if max_lookback is None:
         return DEFAULT_UNBOUNDED_DEPTH
     return max(int(max_lookback), 1)
+
+
+def ring_snapshot(backend, base):
+    """A ring entry: ``backend.snapshot(base)``.
+
+    The bytes it copies (everything it does not share with ``base``) are
+    counted in the ``stream.snapshot_bytes`` telemetry counter.
+    """
+    snapshot = backend.snapshot(base)
+    if TELEMETRY.enabled:
+        TELEMETRY.counter("stream.snapshot_bytes").inc(
+            snapshot.copied_nbytes(base)
+        )
+    return snapshot
 
 
 @dataclass(frozen=True)

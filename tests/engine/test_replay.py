@@ -6,26 +6,36 @@ lookback spin-up, must be **bitwise identical** to throwing the executor
 away and fully re-warm-starting over the corrected history — for the
 replayed suffix, for every day served afterwards, and across
 suspend/resume round trips through serialized replay state.
+
+Ring entries are group snapshots that share the operands serving never
+writes with the warm/resume anchor; every lane of every entry must still
+materialise, byte for byte, to the :class:`~repro.compile.TapeState`
+``suspend_member`` returns on that day.
 """
 
 import numpy as np
 import pytest
 
+from repro.compile import GroupSnapshot, StackedAlpha
 from repro.core import (
+    AlphaEvaluator,
     AlphaProgram,
     INPUT_MATRIX,
+    LABEL,
     Operand,
     Operation,
     PREDICTION,
     get_initialization,
 )
-from repro.engine import IncrementalExecutor
+from repro.engine import FleetEngine, IncrementalExecutor
 from repro.engine.replay import (
     DEFAULT_UNBOUNDED_DEPTH,
     SnapshotRing,
     snapshot_depth_for,
 )
 from repro.errors import StreamError
+from repro.obs import TELEMETRY, telemetry_session
+from tests.engine.test_stacked import make_generation
 
 SERVE_DAYS = 12
 TAIL_DAYS = 3
@@ -322,3 +332,192 @@ class TestReplayStateRoundTrip:
         # snapshot — nothing covers an earlier day of an unbounded program.
         with pytest.raises(StreamError, match="full warm-start replay"):
             resumed.correct(3, features[:SERVE_DAYS], labels[:SERVE_DAYS])
+
+
+def assert_same_state(actual, expected):
+    """Two :class:`TapeState` objects are equal byte for byte."""
+    assert (actual.version, actual.tape_key, actual.base_seed, actual.shape) \
+        == (expected.version, expected.tape_key, expected.base_seed,
+            expected.shape)
+    assert list(actual.operands) == list(expected.operands)
+    for name, array in expected.operands.items():
+        got = actual.operands[name]
+        assert (got.dtype, got.shape) == (array.dtype, array.shape), name
+        assert got.tobytes() == array.tobytes(), name
+
+
+def lane_states(fleet):
+    """key → ``suspend_member`` of its lane, for every serving group."""
+    return {
+        key: unit.backend.suspend_member(lane)
+        for unit in fleet._units
+        for lane, key in enumerate(unit.keys)
+    }
+
+
+def predict_written(backend):
+    """Operands serving rewrites: ``s0`` plus Predict()'s carried exports."""
+    template = backend.group[0]
+    return {LABEL} | (set(template.ir.components["predict"].exports)
+                      & template.dataflow.carried)
+
+
+class TestGroupSnapshots:
+    """Replay rings hold one group snapshot per unit and bar."""
+
+    def serve_fleet(self, fleet, features, labels, start, stop,
+                    captured=None):
+        for day in range(start, stop):
+            fleet.step_bar(features[day])
+            fleet.reveal(labels[day])
+            if captured is not None:
+                captured[day + 1] = lane_states(fleet)
+
+    def test_replay_states_match_suspend_member_of_that_day(
+        self, small_taskset, evaluator, dims, mutator
+    ):
+        generation = make_generation(dims, mutator)
+        features, labels = served_history(evaluator)
+        fleet = FleetEngine(evaluator)
+        for program in generation:
+            fleet.add(program)
+        assert fleet.stack_groups >= 2
+        fleet.warm_start()
+        assert any(len(unit.keys) == 1 for unit in fleet._units)
+
+        self.serve_fleet(fleet, features, labels, 0, 10)
+        corrected = np.array(features, copy=True)
+        corrected[7] = corrected[7] * 1.01
+        fleet.correct(7, corrected[:10], labels[:10])
+        corrected_labels = np.array(labels, copy=True)
+        corrected_labels[9] = -corrected_labels[9]
+        fleet.correct(9, corrected[:10], corrected_labels[:10])
+        self.serve_fleet(fleet, corrected, corrected_labels, 10, SERVE_DAYS)
+
+        # The reference: suspend_member on every day of a clean serve of
+        # the corrected history.
+        reference = FleetEngine(
+            AlphaEvaluator(small_taskset, seed=0, max_train_steps=40)
+        )
+        for program in generation:
+            reference.add(program)
+        reference.warm_start()
+        captured = {0: lane_states(reference)}
+        self.serve_fleet(reference, corrected, corrected_labels, 0,
+                         SERVE_DAYS, captured)
+
+        payloads = fleet.suspend_replay_states()
+        assert set(payloads) == set(captured[0])
+        checked = 0
+        for key, payload in payloads.items():
+            day, state = payload["anchor"]
+            assert day == 0
+            assert_same_state(state, captured[0][key])
+            assert payload["entries"]
+            for day, state in payload["entries"]:
+                assert_same_state(state, captured[day][key])
+                checked += 1
+        assert checked >= len(payloads)
+        for key, state in fleet.suspend_tapes().items():
+            assert_same_state(state, captured[SERVE_DAYS][key])
+
+    def test_ring_entries_share_the_operands_predict_never_writes(
+        self, evaluator, dims, mutator
+    ):
+        features, labels = served_history(evaluator)
+        fleet = FleetEngine(evaluator)
+        for program in make_generation(dims, mutator):
+            fleet.add(program)
+        fleet.warm_start()
+        self.serve_fleet(fleet, features, labels, 0, 4)
+        frozen_seen = 0
+        for unit in fleet._units:
+            _, anchor = unit._anchor
+            written = predict_written(unit.backend)
+            for _, snapshot in unit._ring.entries():
+                assert isinstance(snapshot, GroupSnapshot)
+                assert snapshot.shared_m0
+                assert snapshot.m0.shape == features[0].shape
+                for operand, array in snapshot.operands.items():
+                    private = not np.shares_memory(
+                        array, anchor.operands[operand]
+                    )
+                    assert private == (operand in written), operand.name
+                    frozen_seen += operand not in written
+        assert frozen_seen
+
+    def test_resumed_lanes_with_different_m0_snapshot_in_full(
+        self, small_taskset, evaluator, dims, mutator
+    ):
+        features, labels = served_history(evaluator)
+        family = make_generation(dims, mutator)[:3]  # one signature group
+        states = []
+        for lane, program in enumerate(family):
+            solo = warm_executor(evaluator, program)
+            serve(solo, features, labels, 0, lane + 1)
+            states.append(solo.suspend())
+        m0 = INPUT_MATRIX.name
+        assert states[0].operands[m0].tobytes() != \
+            states[1].operands[m0].tobytes()
+
+        fleet = FleetEngine(
+            AlphaEvaluator(small_taskset, seed=0, max_train_steps=40)
+        )
+        for program in family:
+            fleet.add(program)
+        assert fleet.stack_groups == 1
+        tapes = {fleet.key_of(program.name): state
+                 for program, state in zip(family, states)}
+        fleet.resume_tapes(tapes, days_served=3)
+        (unit,) = fleet._units
+        backend = unit.backend
+        assert isinstance(backend, StackedAlpha)
+        _, anchor = unit._anchor
+        entry = backend.snapshot(anchor)
+        for snapshot in (anchor, entry):
+            assert not snapshot.shared_m0
+            assert snapshot.m0.shape == (3,) + features[0].shape
+            for lane, state in enumerate(states):
+                assert_same_state(backend.materialize(lane, snapshot), state)
+        for key, payload in fleet.suspend_replay_states().items():
+            assert_same_state(payload["anchor"][1], tapes[key])
+
+        # The next bar puts one shared m0 back in every lane.
+        fleet.step_bar(features[3])
+        fleet.reveal(labels[3])
+        (_, latest), = unit._ring.entries()
+        assert latest.shared_m0
+        for lane in range(len(family)):
+            assert_same_state(backend.materialize(lane, latest),
+                              backend.suspend_member(lane))
+
+    def test_solo_executor_pushes_group_snapshots(self, evaluator, dims):
+        program = get_initialization("NN", dims, seed=3)
+        features, labels = served_history(evaluator)
+        executor = warm_executor(evaluator, program)
+        captured = {0: executor.suspend()}
+        for day in range(SERVE_DAYS):
+            executor.step(features[day])
+            executor.reveal(labels[day])
+            captured[day + 1] = executor.suspend()
+        assert all(isinstance(snapshot, GroupSnapshot)
+                   for _, snapshot in executor._ring.entries())
+        payload = executor.replay_state()
+        assert_same_state(payload["anchor"][1], captured[0])
+        for day, state in payload["entries"]:
+            assert_same_state(state, captured[day])
+
+    def test_snapshot_bytes_counts_only_ring_copies(self, evaluator, dims):
+        program = get_initialization("NN", dims, seed=3)
+        features, labels = served_history(evaluator)
+        executor = warm_executor(evaluator, program)
+        with telemetry_session():
+            serve(executor, features, labels, 0, 3)
+            counted = TELEMETRY.snapshot()["stream.snapshot_bytes"]
+        entries = [snapshot for _, snapshot in executor._ring.entries()]
+        anchor = executor._anchor[1]
+        per_bar = entries[-1].copied_nbytes(anchor)
+        full = anchor.copied_nbytes()
+        assert 0 < per_bar < full
+        assert counted["value"] == 3 * per_bar
+        assert not TELEMETRY.enabled
